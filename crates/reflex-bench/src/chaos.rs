@@ -25,7 +25,7 @@ use std::sync::Arc;
 use reflex_driver::{
     BackoffPolicy, Event, Instrument, NullSink, SessionConfig, VerifySession, WatchSession,
 };
-use reflex_verify::{Certificate, FaultyFs, ProverOptions, VerifyFs};
+use reflex_verify::{json_string, Certificate, FaultyFs, ProverOptions, VerifyFs};
 
 use crate::incr::edit_script;
 use crate::BenchError;
@@ -529,11 +529,11 @@ pub fn render_chaos_json(bench: &ChaosBench) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"suite\": \"chaos\",\n  \"workload\": \"{}\",\n  \"rate_ppm\": {},\n  \"jobs\": {},\n  \
+        "{{\n  \"suite\": \"chaos\",\n  \"workload\": {},\n  \"rate_ppm\": {},\n  \"jobs\": {},\n  \
          \"iterations_per_seed\": {},\n  \"total_faults\": {},\n  \
          \"aborts\": {},\n  \"cert_mismatches\": {},\n  \"quarantine_escapes\": {},\n  \
          \"invariants_held\": {},\n  \"seeds\": [\n{}\n  ]\n}}\n",
-        crate::json_escape(&bench.workload),
+        json_string(&bench.workload),
         bench.rate_ppm,
         bench.jobs,
         bench.iterations_per_seed,

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use reflex_driver::{Event, MemorySink, NullSink, SessionConfig, VerifySession};
-use reflex_verify::ProverOptions;
+use reflex_verify::{json_string, ProverOptions};
 
 /// One scripted edit: a `replacen(find, replace, 1)` on the named kernel's
 /// current source. Edits are cumulative within a kernel.
@@ -477,19 +477,16 @@ pub fn render_incr(bench: &IncrBench) -> String {
 
 /// Renders the replay as the `BENCH_incr.json` machine-readable report.
 pub fn render_incr_json(bench: &IncrBench) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let rows: Vec<String> = bench
         .iterations
         .iter()
         .map(|it| {
             format!(
-                "    {{\"kernel\": \"{}\", \"label\": \"{}\", \"reused\": {}, \
+                "    {{\"kernel\": {}, \"label\": {}, \"reused\": {}, \
                  \"partial\": {}, \"reproved\": {}, \"loaded\": {}, \
                  \"warm_ms\": {:.3}, \"cold_ms\": {:.3}}}",
-                esc(it.kernel),
-                esc(it.label),
+                json_string(it.kernel),
+                json_string(it.label),
                 it.reused,
                 it.partial,
                 it.reproved,

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use reflex_kernels::synth::{self, SynthConfig};
-use reflex_verify::{check_certificate, prove_all_parallel_with_stats, ProverOptions};
+use reflex_verify::{check_certificate, json_string, prove_all_parallel_with_stats, ProverOptions};
 
 use crate::BenchError;
 
@@ -153,10 +153,10 @@ pub fn run_scale(presets: &[&str], seed: u64, jobs: usize) -> Result<Vec<ScaleRo
 
 fn row_json(indent: &str, r: &ScaleRow) -> String {
     format!(
-        "{indent}{{\"preset\": \"{}\", \"seed\": {}, \"jobs\": {}, \"components\": {}, \
+        "{indent}{{\"preset\": {}, \"seed\": {}, \"jobs\": {}, \"components\": {}, \
          \"properties\": {}, \"obligations\": {}, \"wall_ms\": {:.3}, \
          \"obligations_per_sec\": {:.1}, \"peak_rss_kb\": {}}}",
-        crate::json_escape(&r.preset),
+        json_string(&r.preset),
         r.seed,
         r.jobs,
         r.components,
@@ -179,9 +179,9 @@ pub fn render_scale_json(optimized: &[ScaleRow]) -> String {
         .filter_map(|o| {
             base.iter().find(|b| b.preset == o.preset).map(|b| {
                 format!(
-                    "    {{\"preset\": \"{}\", \"wall_speedup\": {:.2}, \
+                    "    {{\"preset\": {}, \"wall_speedup\": {:.2}, \
                      \"throughput_ratio\": {:.2}}}",
-                    crate::json_escape(&o.preset),
+                    json_string(&o.preset),
                     b.wall_ms / o.wall_ms,
                     o.obligations_per_sec / b.obligations_per_sec,
                 )

@@ -1,6 +1,7 @@
-//! The proof-store stress bench: the legacy flat layout (one
-//! fsync-gated file per certificate) against the log-structured segment
-//! store, at 100k+ entries.
+//! The proof-store stress bench: the flat layout the store used before
+//! segment logs (one fsync-gated file per certificate) against the
+//! log-structured [`ProofStore`], at 100k+ entries. The flat layout now
+//! lives only here, as [`FlatStore`], the baseline.
 //!
 //! Three phases per layout, wall-timed separately:
 //!
@@ -8,8 +9,8 @@
 //!   (prover-produced, checker-accepted) certificate payload each. The
 //!   flat layout pays tmp-write + fsync + rename per entry; the log
 //!   layout appends into segments and group-commits.
-//! * **open** — a cold [`ProofStore::open`] over the populated
-//!   directory, i.e. the index rebuild a daemon restart would pay.
+//! * **open** — a cold open over the populated directory, i.e. the
+//!   index rebuild a daemon restart would pay.
 //! * **lookup** — `lookups` loads. The flat row draws keys uniformly
 //!   (no admission tier could hold the full set); the log row cycles a
 //!   hot window sized under the LRU tier, the warm `rx watch` pattern
@@ -18,19 +19,84 @@
 //! After the write phases the two stores' certificate sets are diffed
 //! key by key and byte by byte; a mismatch fails the bench (and CI).
 
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use reflex_ast::fingerprint::Fp;
 use reflex_parser::parse_program;
 use reflex_typeck::check;
-use reflex_verify::{Certificate, ProofStore, ProverOptions};
+use reflex_verify::{
+    certificate_from_bytes, certificate_to_bytes, Certificate, ProofStore, ProverOptions,
+};
 
 use crate::BenchError;
 
 /// The hot-window size for the log row's warm lookups: comfortably under
 /// the store's LRU capacity (256) so a steady-state watch session hits.
 const HOT_WINDOW: usize = 128;
+
+/// A store key: (program fp, property fp, options fp).
+type Key = (Fp, Fp, Fp);
+
+/// The flat baseline layout: one `{prog}-{prop}-{opts}.cert` file per
+/// key holding [`certificate_to_bytes`], written to a temporary file,
+/// fsynced, then renamed into place. Opening lists the directory into an
+/// in-memory key set; a load reads and decodes one file.
+struct FlatStore {
+    root: PathBuf,
+    keys: HashSet<Key>,
+}
+
+impl FlatStore {
+    fn entry_path(root: &Path, (program, property, options): Key) -> PathBuf {
+        root.join(format!("{program}-{property}-{options}.cert"))
+    }
+
+    /// Writes one entry durably: temporary file, `sync_all`, rename.
+    fn write(root: &Path, key: Key, cert: &Certificate) -> io::Result<()> {
+        let path = FlatStore::entry_path(root, key);
+        let tmp = path.with_extension("tmp");
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&certificate_to_bytes(cert))?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &path)
+    }
+
+    /// Indexes every entry file under `root` by the key in its name.
+    fn open(root: &Path) -> io::Result<FlatStore> {
+        let mut keys = HashSet::new();
+        for entry in std::fs::read_dir(root)? {
+            let name = entry?.file_name();
+            if let Some(key) = name.to_str().and_then(parse_entry_name) {
+                keys.insert(key);
+            }
+        }
+        Ok(FlatStore {
+            root: root.to_path_buf(),
+            keys,
+        })
+    }
+
+    fn load(&self, key: Key) -> Option<Certificate> {
+        if !self.keys.contains(&key) {
+            return None;
+        }
+        certificate_from_bytes(&std::fs::read(FlatStore::entry_path(&self.root, key)).ok()?)
+    }
+}
+
+/// Parses a `{prog}-{prop}-{opts}.cert` file name back into its key.
+fn parse_entry_name(name: &str) -> Option<Key> {
+    let mut parts = name.strip_suffix(".cert")?.split('-');
+    let mut fp = || {
+        let s = parts.next().filter(|s| s.len() == 16)?;
+        u64::from_str_radix(s, 16).ok().map(Fp)
+    };
+    let key = (fp()?, fp()?, fp()?);
+    parts.next().is_none().then_some(key)
+}
 
 /// Knobs for one stress run.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +143,7 @@ pub struct StoreBench {
     pub lookups: usize,
     /// Key-stream seed.
     pub seed: u64,
-    /// The legacy one-file-per-certificate baseline.
+    /// The flat one-file-per-certificate baseline.
     pub flat: LayoutRow,
     /// The log-structured store.
     pub log: LayoutRow,
@@ -122,7 +188,7 @@ fn ratio(a: f64, b: f64) -> f64 {
 /// The `i`-th synthetic key of the stream: one fixed program/options
 /// pair, property fingerprints spread by a splitmix-style constant so
 /// the shard hash sees well-distributed bits.
-fn key_at(seed: u64, i: u64) -> (Fp, Fp, Fp) {
+fn key_at(seed: u64, i: u64) -> Key {
     (
         Fp(0xB5EED ^ seed),
         Fp(i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i) | 1),
@@ -181,16 +247,14 @@ pub fn run_store_bench(config: &StoreBenchConfig) -> Result<StoreBench, BenchErr
     let _ = std::fs::remove_dir_all(&flat_dir);
     let _ = std::fs::remove_dir_all(&log_dir);
 
-    // Write phases. The flat path is the legacy writer: one atomic
-    // fsync-gated file per entry. The log path appends and group-commits,
-    // with one final flush standing in for session end.
+    // Write phases. The flat path writes one atomic fsync-gated file per
+    // entry. The log path appends and group-commits, with one final flush
+    // standing in for session end.
     let flat_write = {
-        let store = ProofStore::open(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
+        std::fs::create_dir_all(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
         let t = Instant::now();
         for i in 0..entries {
-            let (p, f, o) = key_at(config.seed, i);
-            store
-                .write_flat_entry(p, f, o, &cert)
+            FlatStore::write(&flat_dir, key_at(config.seed, i), &cert)
                 .map_err(|e| BenchError(format!("flat write {i}: {e}")))?;
         }
         t.elapsed().as_secs_f64()
@@ -215,7 +279,7 @@ pub fn run_store_bench(config: &StoreBenchConfig) -> Result<StoreBench, BenchErr
 
     // Cold opens: the index rebuild a restart pays.
     let t = Instant::now();
-    let flat_store = ProofStore::open(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
+    let flat_store = FlatStore::open(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
     let flat_open = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let log_store = ProofStore::open(&log_dir).map_err(|e| BenchError(e.to_string()))?;
@@ -225,9 +289,11 @@ pub fn run_store_bench(config: &StoreBenchConfig) -> Result<StoreBench, BenchErr
     // both layouts.
     let mut mismatches = 0usize;
     for i in 0..entries {
-        let (p, f, o) = key_at(config.seed, i);
-        let same = |c: Option<std::sync::Arc<Certificate>>| c.as_deref() == Some(&cert);
-        if !same(flat_store.load(p, f, o)) || !same(log_store.load(p, f, o)) {
+        let key = key_at(config.seed, i);
+        let (p, f, o) = key;
+        if flat_store.load(key).as_ref() != Some(&cert)
+            || log_store.load(p, f, o).as_deref() != Some(&cert)
+        {
             mismatches += 1;
         }
     }
@@ -238,7 +304,7 @@ pub fn run_store_bench(config: &StoreBenchConfig) -> Result<StoreBench, BenchErr
     }
 
     // Lookup phases (fresh opens, so the diff above leaves no hot tier).
-    let flat_store = ProofStore::open(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
+    let flat_store = FlatStore::open(&flat_dir).map_err(|e| BenchError(e.to_string()))?;
     let log_store = ProofStore::open(&log_dir).map_err(|e| BenchError(e.to_string()))?;
     let flat_lookup = {
         let mut x = config.seed | 1;
@@ -248,8 +314,7 @@ pub fn run_store_bench(config: &StoreBenchConfig) -> Result<StoreBench, BenchErr
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let (p, f, o) = key_at(config.seed, x % entries);
-            if flat_store.load(p, f, o).is_none() {
+            if flat_store.load(key_at(config.seed, x % entries)).is_none() {
                 return Err(BenchError("flat lookup missed a written key".into()));
             }
         }
@@ -387,6 +452,20 @@ pub fn render_store_json(bench: &StoreBench) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_entry_names_parse_back() {
+        let key = (Fp(0xdead), Fp(1), Fp(u64::MAX));
+        let path = FlatStore::entry_path(Path::new("."), key);
+        let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
+        assert_eq!(parse_entry_name(name), Some(key));
+        assert_eq!(parse_entry_name("head-x-y.head"), None);
+        assert_eq!(parse_entry_name("junk.cert"), None);
+        assert_eq!(
+            parse_entry_name(&format!("{}-{}-{}-{}.cert", key.0, key.1, key.2, key.0)),
+            None
+        );
+    }
 
     #[test]
     fn reduced_run_measures_both_layouts_and_sets_match() {

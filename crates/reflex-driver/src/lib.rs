@@ -34,8 +34,8 @@ mod instrument;
 pub mod watch;
 
 pub use instrument::{
-    json_string, Counters, Event, HumanSink, Instrument, JsonLinesSink, MemorySink, NullSink,
-    PropertyStatus, Stage,
+    Counters, Event, HumanSink, Instrument, JsonLinesSink, MemorySink, NullSink, PropertyStatus,
+    Stage,
 };
 pub use watch::{BackoffPolicy, WatchIteration, WatchSession};
 
@@ -49,9 +49,9 @@ use reflex_ast::Fp;
 use reflex_typeck::CheckedProgram;
 use reflex_verify::certificate::Certificate;
 use reflex_verify::{
-    check_certificate_with, load_candidates, persist_outcomes, prove_with_cache, resolve_jobs,
-    reverify_observed, Abstraction, CacheStats, Outcome, ProofBudget, ProofCache, ProofStore,
-    PropStats, ProverOptions, ProverStats, Reuse, VerifyError,
+    check_certificate_with, json_string, load_candidates, persist_outcomes, prove_with_cache,
+    resolve_jobs, reverify_observed, Abstraction, CacheStats, Outcome, ProofBudget, ProofCache,
+    ProofStore, PropStats, ProverOptions, ProverStats, Reuse, VerifyError,
 };
 
 /// Why a session could not run to completion (as opposed to per-property

@@ -8,11 +8,13 @@
 //!
 //! where `len` counts everything after itself (`1 + 8 + payload.len()`).
 //! Frames larger than [`MAX_FRAME`] are rejected before any allocation,
-//! so a hostile length prefix cannot balloon memory. All integers are
-//! little-endian; floats travel as `f64::to_bits`; strings are UTF-8
-//! with a `u32` byte-length prefix — the same conventions as the proof
-//! store's certificate codec, and deliberately position-independent so
-//! equal values always encode to equal bytes.
+//! so a hostile length prefix cannot balloon memory. Payloads are
+//! written and read by the proof store's codec
+//! ([`reflex_verify::codec::Enc`]/[`Dec`]): little-endian integers,
+//! floats as `f64::to_bits`, strings and sequences with a `u32` length
+//! prefix that the decoder refuses when it exceeds the bytes left. The
+//! encoding is position-independent, so equal values always encode to
+//! equal bytes.
 //!
 //! The conversation is strictly client-initiated: after a
 //! [`HELLO`]/[`HELLO_OK`] version handshake, the client sends request
@@ -28,6 +30,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use reflex_driver::SessionReport;
+use reflex_verify::codec::{Dec, Enc};
 use reflex_verify::{
     certificate_from_bytes, certificate_to_bytes, CacheStats, Outcome, ProofFailure, PropStats,
     ProverStats,
@@ -205,178 +208,6 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Frame, ProtoError> {
         request_id: u64::from_le_bytes(id),
         payload: body[9..].to_vec(),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Payload codec
-// ---------------------------------------------------------------------------
-
-/// Append-only payload encoder (little-endian, position-independent).
-#[derive(Debug, Default)]
-pub struct Enc {
-    /// The bytes written so far.
-    pub buf: Vec<u8>,
-}
-
-impl Enc {
-    /// An empty encoder.
-    pub fn new() -> Enc {
-        Enc::default()
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Appends a byte string with a `u32` length prefix.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).unwrap_or(u32::MAX));
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a UTF-8 string with a `u32` byte-length prefix.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Appends an optional `u64` (presence byte, then the value).
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Appends an optional string (presence byte, then the string).
-    pub fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.str(v);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-/// Checked payload decoder: every accessor returns `None` on
-/// truncation, so a hostile payload can never index out of bounds.
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// A decoder over `buf`.
-    pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool`; any byte other than 0/1 is malformed.
-    pub fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?.to_vec()).ok()
-    }
-
-    /// Reads an optional `u64`.
-    pub fn opt_u64(&mut self) -> Option<Option<u64>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.u64()?)),
-            _ => None,
-        }
-    }
-
-    /// Reads an optional string.
-    pub fn opt_str(&mut self) -> Option<Option<String>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.str()?)),
-            _ => None,
-        }
-    }
-
-    /// Succeeds only if every byte was consumed — trailing garbage is
-    /// malformed, same discipline as the certificate codec.
-    pub fn finish(self) -> Option<()> {
-        (self.pos == self.buf.len()).then_some(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -610,28 +441,22 @@ fn dec_outcome(d: &mut Dec) -> Option<Outcome> {
 }
 
 fn enc_names(e: &mut Enc, names: &[String]) {
-    e.u32(u32::try_from(names.len()).unwrap_or(u32::MAX));
+    e.len(names.len());
     for n in names {
         e.str(n);
     }
 }
 
 fn dec_names(d: &mut Dec) -> Option<Vec<String>> {
-    let n = d.u32()? as usize;
-    // Bound pre-allocation by the bytes actually present: each name
-    // costs at least its 4-byte length prefix.
-    let mut out = Vec::with_capacity(n.min(d.buf.len() / 4 + 1));
-    for _ in 0..n {
-        out.push(d.str()?);
-    }
-    Some(out)
+    let n = d.len()?;
+    (0..n).map(|_| d.str()).collect()
 }
 
 /// Encodes a full [`SessionReport`] (certificates included, via the
 /// store's deterministic certificate codec).
 pub fn enc_report(e: &mut Enc, r: &SessionReport) {
     e.str(&r.program);
-    e.u32(u32::try_from(r.outcomes.len()).unwrap_or(u32::MAX));
+    e.len(r.outcomes.len());
     for (name, outcome) in &r.outcomes {
         e.str(name);
         enc_outcome(e, outcome);
@@ -645,7 +470,7 @@ pub fn enc_report(e: &mut Enc, r: &SessionReport) {
     e.f64(r.wall_ms);
     e.u64(r.stats.jobs as u64);
     e.f64(r.stats.total_ms);
-    e.u32(u32::try_from(r.stats.properties.len()).unwrap_or(u32::MAX));
+    e.len(r.stats.properties.len());
     for p in &r.stats.properties {
         e.str(&p.name);
         e.bool(p.proved);
@@ -667,31 +492,30 @@ pub fn enc_report(e: &mut Enc, r: &SessionReport) {
 /// Decodes a [`SessionReport`] produced by [`enc_report`].
 pub fn dec_report(d: &mut Dec) -> Option<SessionReport> {
     let program = d.str()?;
-    let n = d.u32()? as usize;
-    let mut outcomes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        outcomes.push((name, dec_outcome(d)?));
-    }
+    let n = d.len()?;
+    let outcomes = (0..n)
+        .map(|_| Some((d.str()?, dec_outcome(d)?)))
+        .collect::<Option<Vec<_>>>()?;
     let reused = dec_names(d)?;
     let partial = dec_names(d)?;
     let reproved = dec_names(d)?;
-    let store_loaded = usize::try_from(d.u64()?).ok()?;
-    let store_saved = usize::try_from(d.u64()?).ok()?;
+    let store_loaded = d.usize()?;
+    let store_saved = d.usize()?;
     let certificates_checked = d.bool()?;
     let wall_ms = d.f64()?;
-    let jobs = usize::try_from(d.u64()?).ok()?;
+    let jobs = d.usize()?;
     let total_ms = d.f64()?;
-    let rows = d.u32()? as usize;
-    let mut properties = Vec::with_capacity(rows.min(1024));
-    for _ in 0..rows {
-        properties.push(PropStats {
-            name: d.str()?,
-            proved: d.bool()?,
-            wall_ms: d.f64()?,
-            obligations: usize::try_from(d.u64()?).ok()?,
-        });
-    }
+    let rows = d.len()?;
+    let properties = (0..rows)
+        .map(|_| {
+            Some(PropStats {
+                name: d.str()?,
+                proved: d.bool()?,
+                wall_ms: d.f64()?,
+                obligations: d.usize()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
     let paths_explored = d.u64()?;
     let cache = CacheStats {
         invariant_entries: d.u64()?,

@@ -558,7 +558,7 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
     match read_frame(&mut timed) {
         Ok(frame) if frame.kind == HELLO => match decode_hello(&frame.payload) {
             Some(version) if version == VERSION => {
-                let mut e = crate::protocol::Enc::new();
+                let mut e = reflex_verify::codec::Enc::new();
                 e.u16(VERSION);
                 send_frame(&writer, HELLO_OK, frame.request_id, e.buf);
             }

@@ -9,9 +9,10 @@ use reflex_driver::{NullSink, SessionConfig, VerifySession};
 use reflex_service::protocol::{
     decode_error, decode_error_retry, decode_hello, decode_reply, decode_request, decode_stats,
     enc_report, encode_error, encode_error_retry, encode_hello, encode_reply, encode_request,
-    encode_stats, read_frame, write_frame, Dec, Enc, Frame, ProtoError, Reply, Request,
-    StatsSnapshot, HELLO, MAX_FRAME, REQUEST,
+    encode_stats, read_frame, write_frame, Frame, ProtoError, Reply, Request, StatsSnapshot,
+    ERR_OVERLOADED, HELLO, MAX_FRAME, REQUEST,
 };
+use reflex_verify::codec::{Dec, Enc};
 
 fn roundtrip_frame(frame: &Frame) -> Frame {
     let mut buf = Vec::new();
@@ -304,4 +305,87 @@ fn report_codec_and_reply_wrapper_agree() {
     enc_report(&mut e, &report);
     let reply_payload = encode_reply(&Reply::Verify(Box::new(report)));
     assert_eq!(&reply_payload[1..], &e.buf[..]);
+}
+
+/// Lowercase hex of a payload, for the golden-bytes pins below.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The exact wire bytes of each payload kind, pinned field by field.
+/// Round-trip tests pass even when encoder and decoder drift together;
+/// these fail on any change to the bytes a deployed peer would see.
+#[test]
+fn payload_bytes_are_pinned() {
+    // magic "RXD1" as u32 LE, version 2 as u16 LE.
+    assert_eq!(hex(&encode_hello()), "314458520200");
+
+    let verify = Request::Verify {
+        name: "car".into(),
+        source: "x".into(),
+        property: Some("P".into()),
+        budget_ms: Some(1_000),
+        budget_nodes: Some(0x0102_0304_0506_0708),
+        want_events: true,
+        deadline_ms: Some(250),
+        idempotency_key: Some(u64::MAX),
+    };
+    let expected = [
+        "02",                 // tag: Verify
+        "03000000636172",     // name "car"
+        "0100000078",         // source "x"
+        "010100000050",       // property Some("P")
+        "01e803000000000000", // budget_ms Some(1000)
+        "010807060504030201", // budget_nodes Some(0x0102…08)
+        "01",                 // want_events
+        "01fa00000000000000", // deadline_ms Some(250)
+        "01ffffffffffffffff", // idempotency_key Some(u64::MAX)
+    ];
+    assert_eq!(hex(&encode_request(&verify)), expected.concat());
+
+    let checked = Reply::Checked(reflex_service::CheckSummary {
+        program: "car".into(),
+        components: 1,
+        messages: 2,
+        state_vars: 3,
+        handlers: 4,
+        properties: 5,
+    });
+    let expected = [
+        "01",             // tag: Checked
+        "03000000636172", // program "car"
+        "0100000000000000",
+        "0200000000000000",
+        "0300000000000000",
+        "0400000000000000",
+        "0500000000000000",
+    ];
+    assert_eq!(hex(&encode_reply(&checked)), expected.concat());
+
+    let stats = StatsSnapshot {
+        requests_submitted: 1,
+        requests_served: 2,
+        rejected_busy: 3,
+        protocol_errors: 4,
+        connections: 5,
+        rejected_overloaded: 6,
+        cancelled: 7,
+        deadline_expired: 8,
+        idempotent_hits: 9,
+        requests_executed: 10,
+        reaped_connections: 11,
+        accept_errors: 12,
+    };
+    let expected: String = (1u64..=12).map(|v| hex(&v.to_le_bytes())).collect();
+    assert_eq!(hex(&encode_stats(&stats)), expected);
+
+    let expected = [
+        "0a00",               // code ERR_OVERLOADED as u16 LE
+        "0400000073686564",   // message "shed"
+        "01fa00000000000000", // retry_after_ms Some(250)
+    ];
+    assert_eq!(
+        hex(&encode_error_retry(ERR_OVERLOADED, "shed", Some(250))),
+        expected.concat()
+    );
 }

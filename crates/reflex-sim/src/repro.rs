@@ -12,6 +12,8 @@
 
 use std::fmt::Write as _;
 
+use reflex_verify::json_string;
+
 use crate::{Scenario, Sim, SimConfig, SimOutcome, Violation, ViolationKind};
 
 /// The schema tag [`render`] stamps into every repro file.
@@ -78,24 +80,6 @@ impl ReplayVerdict {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a repro as its `repro.json` document.
 pub fn render(repro: &Repro) -> String {
     let c = &repro.config;
@@ -113,19 +97,15 @@ pub fn render(repro: &Repro) -> String {
         }
         None => out.push_str("  \"inject_violation_at\": null,\n"),
     }
-    let streams: Vec<String> = c
-        .disabled
-        .iter()
-        .map(|s| format!("\"{}\"", escape(s)))
-        .collect();
+    let streams: Vec<String> = c.disabled.iter().map(|s| json_string(s)).collect();
     let _ = writeln!(out, "  \"disabled\": [{}],", streams.join(", "));
     out.push_str("  \"violation\": {\n");
     let _ = writeln!(out, "    \"step\": {},", repro.violation.step);
     let _ = writeln!(out, "    \"kind\": \"{}\",", repro.violation.kind);
     let _ = writeln!(
         out,
-        "    \"detail\": \"{}\"",
-        escape(&repro.violation.detail)
+        "    \"detail\": {}",
+        json_string(&repro.violation.detail)
     );
     out.push_str("  },\n");
     let _ = writeln!(

@@ -823,10 +823,9 @@ pub(crate) fn run_compaction_race(config: &SimConfig, trace: &mut Trace) -> Opti
         }
     };
     trace.push(format!(
-        "race scrub corrupted={corrupted} scanned={} quarantined={} migrated={}",
+        "race scrub corrupted={corrupted} scanned={} quarantined={}",
         scrub.scanned,
-        scrub.quarantined.len(),
-        scrub.migrated
+        scrub.quarantined.len()
     ));
     if corrupted > 0 && scrub.quarantined.is_empty() {
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,4 +1,6 @@
-//! The deterministic binary certificate codec used by the proof store.
+//! The deterministic binary codec: the proof store's certificate,
+//! head and manifest payloads and the `rxd` wire protocol's payloads all
+//! go through [`Enc`] and [`Dec`].
 //!
 //! Little-endian fixed-width integers; strings as u32 length + UTF-8
 //! bytes; sequences as u32 length + elements; enums as a u8 tag + payload.
@@ -23,102 +25,212 @@ use crate::certificate::{
     Justification, LemmaCert, NegPrior, NegPriorStep, NiCaseCert, NiCert, PathCert, TraceCert,
 };
 
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
+/// Append-only encoder: little-endian fixed-width integers, `u32`
+/// length prefixes, no padding. Shared by the proof store and the `rxd`
+/// wire protocol, so both formats have exactly one writer.
+#[derive(Debug, Default)]
+pub struct Enc {
+    /// The bytes written so far.
+    pub buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc { buf: Vec::new() }
+    /// An empty encoder.
+    #[inline]
+    pub fn new() -> Enc {
+        Enc::default()
     }
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// Appends one byte.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// Appends a `u16`.
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Appends a `u32`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
+    /// Appends a `u64`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Appends an `i64`.
+    #[inline]
     pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn len(&mut self, v: usize) {
+    /// Appends an `f64` as its IEEE-754 bit pattern.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    /// Appends a sequence or byte length as a `u32`.
+    ///
+    /// # Panics
+    ///
+    /// If `v` does not fit in a `u32`.
+    #[inline]
+    pub fn len(&mut self, v: usize) {
         self.u32(u32::try_from(v).expect("sequence fits in u32"));
     }
-    pub(crate) fn bool(&mut self, v: bool) {
+    /// Appends a `bool` as one byte.
+    #[inline]
+    pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+    /// Appends a byte string with a `u32` length prefix.
+    #[inline]
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.len(v.len());
+        self.buf.extend_from_slice(v);
     }
+    /// Appends a UTF-8 string with a `u32` byte-length prefix.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+    /// Appends a fingerprint as its `u64`.
+    #[inline]
     pub(crate) fn fp(&mut self, fp: Fp) {
         self.u64(fp.0);
     }
-    pub(crate) fn opt_usize(&mut self, v: Option<usize>) {
+    /// Appends an optional `u64` (presence byte, then the value).
+    #[inline]
+    pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             None => self.u8(0),
             Some(n) => {
                 self.u8(1);
-                self.u64(n as u64);
+                self.u64(n);
+            }
+        }
+    }
+    /// Appends an optional `usize`, widened to `u64`.
+    #[inline]
+    pub(crate) fn opt_usize(&mut self, v: Option<usize>) {
+        self.opt_u64(v.map(|n| n as u64));
+    }
+    /// Appends an optional string (presence byte, then the string).
+    #[inline]
+    pub fn opt_str(&mut self, v: Option<&str>) {
+        match v {
+            None => self.u8(0),
+            Some(s) => {
+                self.u8(1);
+                self.str(s);
             }
         }
     }
 }
 
-pub(crate) struct Dec<'a> {
+/// Checked decoder over a byte slice: every accessor returns `None` on
+/// truncation or an invalid tag, so hostile input can never index out
+/// of bounds or panic.
+#[derive(Debug)]
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Dec<'a> {
+    /// A decoder over `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Dec<'a> {
         Dec { buf, pos: 0 }
     }
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    #[inline]
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
     }
-    pub(crate) fn u8(&mut self) -> Option<u8> {
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    /// Reads a `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
+    }
+    /// Reads a `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
-    pub(crate) fn u64(&mut self) -> Option<u64> {
+    /// Reads a `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
+    /// Reads an `i64`.
+    #[inline]
     pub(crate) fn i64(&mut self) -> Option<i64> {
         Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
-    pub(crate) fn len(&mut self) -> Option<usize> {
+    /// Reads an `f64` from its bit pattern.
+    #[inline]
+    pub fn f64(&mut self) -> Option<f64> {
+        Some(f64::from_bits(self.u64()?))
+    }
+    /// Reads a sequence or byte length.
+    #[inline]
+    pub fn len(&mut self) -> Option<usize> {
         let n = self.u32()? as usize;
         // A declared length can never exceed the remaining bytes (every
         // element is at least one byte): reject early so corrupt lengths
         // cannot trigger huge allocations.
         (n <= self.buf.len() - self.pos).then_some(n)
     }
-    pub(crate) fn bool(&mut self) -> Option<bool> {
+    /// Reads a `bool`; any byte other than 0/1 is invalid.
+    #[inline]
+    pub fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-    pub(crate) fn str(&mut self) -> Option<String> {
+    /// Reads a length-prefixed byte string.
+    #[inline]
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        self.take(n)
     }
+    /// Reads a length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?.to_vec()).ok()
+    }
+    /// Reads a fingerprint.
+    #[inline]
     pub(crate) fn fp(&mut self) -> Option<Fp> {
         Some(Fp(self.u64()?))
     }
-    pub(crate) fn usize(&mut self) -> Option<usize> {
+    /// Reads a `u64` that must fit in a `usize`.
+    #[inline]
+    pub fn usize(&mut self) -> Option<usize> {
         usize::try_from(self.u64()?).ok()
     }
+    /// Reads an optional `u64`.
+    #[inline]
+    pub fn opt_u64(&mut self) -> Option<Option<u64>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => Some(Some(self.u64()?)),
+            _ => None,
+        }
+    }
+    /// Reads an optional `usize`.
+    #[inline]
     pub(crate) fn opt_usize(&mut self) -> Option<Option<usize>> {
         match self.u8()? {
             0 => Some(None),
@@ -126,10 +238,25 @@ impl<'a> Dec<'a> {
             _ => None,
         }
     }
+    /// Reads an optional string.
+    #[inline]
+    pub fn opt_str(&mut self) -> Option<Option<String>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => Some(Some(self.str()?)),
+            _ => None,
+        }
+    }
+    /// Whether every byte has been consumed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
     /// Succeeds only when every byte was consumed: trailing garbage is
     /// corruption.
-    pub(crate) fn finish(&self) -> Option<()> {
-        (self.pos == self.buf.len()).then_some(())
+    #[inline]
+    pub fn finish(&self) -> Option<()> {
+        self.is_empty().then_some(())
     }
 }
 

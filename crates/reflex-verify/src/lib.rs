@@ -49,9 +49,10 @@ pub mod canon;
 pub mod certificate;
 mod checker;
 pub mod clock;
-mod codec;
+pub mod codec;
 mod falsify;
 pub mod incremental;
+mod json;
 mod ni_prover;
 mod oblig;
 mod options;
@@ -73,6 +74,7 @@ pub use incremental::{
     reverify, reverify_jobs, reverify_observed, DepGraph, IncrementalReport, PropObserver, Reuse,
     ReusePlan,
 };
+pub use json::json_string;
 pub use options::{
     catch_crash, resolve_jobs, Outcome, PanicPlan, ProofFailure, ProverOptions, VerifyError,
 };

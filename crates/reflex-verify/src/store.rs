@@ -14,8 +14,6 @@
 //! …
 //! shard-0f/seg-0000001c.log
 //! head-{name fp}-{opts}.head  one head record per (program, options)
-//! {prog}-{prop}-{opts}.cert   legacy flat entries (read-only, migrated
-//!                             by `rx store migrate` / compaction)
 //! quarantine/                 corrupt frames + sequenced scrub reports
 //! ```
 //!
@@ -52,8 +50,8 @@
 //! or empty segment, never a data-bearing segment the manifest does not
 //! know about. Compaction ([`ProofStore::compact`]) folds the scrub /
 //! quarantine pass in: it rewrites live entries into fresh segments,
-//! drops superseded frames, quarantines corrupt ones, migrates legacy
-//! flat entries and atomically swaps the manifest.
+//! drops superseded frames, quarantines corrupt ones and atomically
+//! swaps the manifest.
 //!
 //! # Trust
 //!
@@ -86,6 +84,7 @@ use reflex_typeck::CheckedProgram;
 use crate::certificate::Certificate;
 use crate::codec::{dec_certificate, enc_certificate, Dec, Enc};
 use crate::incremental::IncrementalReport;
+use crate::json::json_string;
 use crate::options::{Outcome, ProverOptions, VerifyError};
 use crate::vfs::{RealFs, VerifyFs};
 
@@ -93,7 +92,7 @@ use crate::vfs::{RealFs, VerifyFs};
 /// written by any other version read as misses.
 pub const STORE_VERSION: u32 = 1;
 
-/// Flat-file frame magic (head records, legacy `.cert` entries, MANIFEST).
+/// Framed-file magic (head records, MANIFEST, the health probe).
 const MAGIC: &[u8; 4] = b"RXPS";
 /// Per-entry frame magic inside segment logs.
 const SEGMENT_MAGIC: &[u8; 4] = b"RXSG";
@@ -114,19 +113,15 @@ const MANIFEST_FILE: &str = "MANIFEST";
 /// A store key: (program fp, property fp, options fp).
 type Key = (Fp, Fp, Fp);
 
-/// Where an indexed entry lives.
+/// Where an indexed entry lives: a frame inside a segment log, whose
+/// payload `offset`/`len` bound.
 #[derive(Debug, Clone, Copy)]
-enum Loc {
-    /// A frame inside a segment log; `offset`/`len` bound the payload.
-    Seg {
-        shard: u8,
-        seq: u64,
-        offset: u64,
-        len: u32,
-        payload_fp: u64,
-    },
-    /// A legacy flat `{prog}-{prop}-{opts}.cert` file.
-    Flat,
+struct Loc {
+    shard: u8,
+    seq: u64,
+    offset: u64,
+    len: u32,
+    payload_fp: u64,
 }
 
 /// Per-shard append state.
@@ -353,23 +348,6 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Option<Frame> {
     })
 }
 
-/// Parses a legacy flat entry file name back into its key.
-fn parse_entry_name(name: &str) -> Option<Key> {
-    let stem = name.strip_suffix(".cert")?;
-    let mut parts = stem.split('-');
-    let (a, b, c) = (parts.next()?, parts.next()?, parts.next()?);
-    if parts.next().is_some() {
-        return None;
-    }
-    let fp = |s: &str| {
-        (s.len() == 16)
-            .then(|| u64::from_str_radix(s, 16).ok())
-            .flatten()
-            .map(Fp)
-    };
-    Some((fp(a)?, fp(b)?, fp(c)?))
-}
-
 fn enc_manifest(m: &Manifest) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(SHARD_COUNT as u32);
@@ -405,13 +383,13 @@ fn dec_manifest(payload: &[u8]) -> Option<Manifest> {
 impl ProofStore {
     /// Opens (creating if needed) the store rooted at `dir`, on the real
     /// filesystem, and builds the in-memory index by scanning segment
-    /// frames (plus any legacy flat entries).
+    /// frames.
     ///
     /// # Errors
     ///
-    /// Fails only if the store root cannot be created or listed; the error
-    /// message names the path. Unreadable segments degrade to misses and
-    /// are counted, not errors.
+    /// Fails only if the store root cannot be created; the error message
+    /// names the path. Unreadable segments degrade to misses and are
+    /// counted, not errors.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<ProofStore> {
         ProofStore::open_with(dir, Arc::new(RealFs))
     }
@@ -429,7 +407,7 @@ impl ProofStore {
             .map_err(|e| err_at(e, "create store root", &root))?;
         let io_errors = AtomicU64::new(0);
         let t0 = Instant::now();
-        let mut log = build_log_state(fs.as_ref(), &root, &io_errors)?;
+        let mut log = build_log_state(fs.as_ref(), &root, &io_errors);
         log.build_ms = t0.elapsed().as_secs_f64() * 1e3;
         Ok(ProofStore {
             inner: Arc::new(StoreInner {
@@ -449,8 +427,8 @@ impl ProofStore {
     }
 
     /// Unexpected I/O failures observed by this handle (and its clones)
-    /// since opening. Plain not-found reads of *unindexed* keys are
-    /// misses, not errors; the watch loop compares snapshots of this
+    /// since opening. Loads of *unindexed* keys never touch disk, so they
+    /// cannot count here; the watch loop compares snapshots of this
     /// counter to decide when the store has become unreliable.
     pub fn io_errors(&self) -> u64 {
         self.inner.io_errors.load(Ordering::SeqCst)
@@ -493,12 +471,6 @@ impl ProofStore {
         }
     }
 
-    fn entry_path(&self, program: Fp, property: Fp, options: Fp) -> PathBuf {
-        self.inner
-            .root
-            .join(format!("{program}-{property}-{options}.cert"))
-    }
-
     fn head_path(&self, program_name: &str, options: Fp) -> PathBuf {
         // Head files are looked up before any fingerprint of the current
         // source is known, so they key on the (hashed) program *name*.
@@ -512,48 +484,30 @@ impl ProofStore {
     ///
     /// Hot entries are served from the LRU tier without touching disk,
     /// as shared handles — a warm hit costs neither deserialization nor
-    /// a deep clone. Cold segment hits re-verify the payload fingerprint
+    /// a deep clone. A key the index does not hold is a miss without any
+    /// disk access. Cold segment hits re-verify the payload fingerprint
     /// before decoding, so bit rot after open is still a miss.
     pub fn load(&self, program: Fp, property: Fp, options: Fp) -> Option<Arc<Certificate>> {
         let key = (program, property, options);
         if let Some(cert) = self.inner.lru_lock().get(&key) {
             return Some(cert);
         }
-        let loc = self.inner.log_lock().index.get(&key).copied();
-        let cert = match loc {
-            Some(Loc::Seg {
-                shard,
-                seq,
-                offset,
-                len,
-                payload_fp,
-            }) => {
-                let path = self.inner.segment_path(shard as usize, seq);
-                let payload = match self.inner.fs.read_at(&path, offset, len as usize) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // An *indexed* entry failing to read is unexpected
-                        // (even NotFound: a racing compaction swept the
-                        // segment from under us) — degradation signal.
-                        self.count_io_error();
-                        return None;
-                    }
-                };
-                if fnv(&payload) != payload_fp {
-                    return None;
-                }
-                decode_cert_payload(&payload)?
-            }
-            // Legacy flat entries, and keys another process may have
-            // written flat since we opened, read through the framed path.
-            Some(Loc::Flat) | None => {
-                let payload = self
-                    .inner
-                    .read_framed(&self.entry_path(program, property, options))?;
-                decode_cert_payload(&payload)?
+        let loc = self.inner.log_lock().index.get(&key).copied()?;
+        let path = self.inner.segment_path(loc.shard as usize, loc.seq);
+        let payload = match self.inner.fs.read_at(&path, loc.offset, loc.len as usize) {
+            Ok(p) => p,
+            Err(_) => {
+                // An *indexed* entry failing to read is unexpected (even
+                // NotFound: a racing compaction swept the segment from
+                // under us) — degradation signal.
+                self.count_io_error();
+                return None;
             }
         };
-        let cert = Arc::new(cert);
+        if fnv(&payload) != loc.payload_fp {
+            return None;
+        }
+        let cert = Arc::new(decode_cert_payload(&payload)?);
         self.inner.lru_lock().insert(key, Arc::clone(&cert));
         Some(cert)
     }
@@ -608,9 +562,9 @@ impl ProofStore {
         self.inner.flush_all()
     }
 
-    /// Every key the index currently serves (segment and flat entries),
-    /// sorted — the compaction-loss invariant in `reflex-sim` diffs this
-    /// across a compaction.
+    /// Every key the index currently serves, sorted — the
+    /// compaction-loss invariant in `reflex-sim` diffs this across a
+    /// compaction.
     pub fn entries(&self) -> Vec<(Fp, Fp, Fp)> {
         let log = self.inner.log_lock();
         let mut keys: Vec<Key> = log.index.keys().copied().collect();
@@ -643,36 +597,6 @@ impl ProofStore {
         }
         self.inner
             .write_framed(&self.head_path(program_name, options), &e.buf)
-    }
-
-    /// Writes a legacy flat-file entry (the pre-PR-8 one-file-per-
-    /// certificate format). Kept for the `rx bench store` flat baseline
-    /// and the migration tests; new code appends to segments via
-    /// [`ProofStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_flat_entry(
-        &self,
-        program: Fp,
-        property: Fp,
-        options: Fp,
-        cert: &Certificate,
-    ) -> io::Result<()> {
-        let path = self.entry_path(program, property, options);
-        if self.inner.fs.exists(&path) {
-            return Ok(());
-        }
-        let mut e = Enc::new();
-        enc_certificate(&mut e, cert);
-        self.inner.write_framed(&path, &e.buf)?;
-        self.inner
-            .log_lock()
-            .index
-            .entry((program, property, options))
-            .or_insert(Loc::Flat);
-        Ok(())
     }
 }
 
@@ -827,7 +751,7 @@ impl StoreInner {
                 let offset = log.shards[shard].written + FRAME_HEADER as u64;
                 log.index.insert(
                     key,
-                    Loc::Seg {
+                    Loc {
                         shard: shard as u8,
                         seq,
                         offset,
@@ -962,10 +886,10 @@ impl StoreInner {
 }
 
 /// Rebuilds the in-memory index by scanning the manifest's segments (and
-/// any orphans on disk), then legacy flat entries. Unreadable segments
-/// are counted and skipped — their entries are misses, and the watch
-/// loop's degradation logic owns the retry policy.
-fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io::Result<LogState> {
+/// any orphans on disk). Unreadable segments are counted and skipped —
+/// their entries are misses, and the watch loop's degradation logic owns
+/// the retry policy.
+fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> LogState {
     let mut manifest = {
         let path = root.join(MANIFEST_FILE);
         match fs.read(&path) {
@@ -1032,7 +956,7 @@ fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io:
             while let Some(frame) = parse_frame(&bytes, pos) {
                 entries.push((
                     frame.key,
-                    Loc::Seg {
+                    Loc {
                         shard: shard as u8,
                         seq,
                         offset: frame.payload_start as u64,
@@ -1087,27 +1011,13 @@ fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io:
         }
     }
 
-    // Legacy flat entries: indexed as a fallback tier (segments win).
-    for path in fs
-        .read_dir(root)
-        .map_err(|e| err_at(e, "list store root", root))?
-    {
-        if let Some(key) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_entry_name)
-        {
-            index.entry(key).or_insert(Loc::Flat);
-        }
-    }
-
-    Ok(LogState {
+    LogState {
         index,
         shards: vec![ShardState::default(); SHARD_COUNT],
         manifest,
         build_ms: 0.0,
         scan_skipped,
-    })
+    }
 }
 
 /// The quarantine subdirectory compaction moves bad entries into.
@@ -1117,8 +1027,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// and did.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
-    /// Entries examined: segment frames, flat `.cert` files and `.head`
-    /// files.
+    /// Entries examined: segment frames and `.head` files.
     pub scanned: usize,
     /// Entries that validated clean and were kept (rewritten into fresh
     /// segments, or left in place for heads).
@@ -1128,9 +1037,6 @@ pub struct ScrubReport {
     /// Quarantined entries that decoded fine but were rejected by the
     /// certificate checker (a subset of `quarantined`).
     pub checker_rejected: usize,
-    /// Legacy flat entries rewritten into segments (their flat files are
-    /// removed after the new segments are durable).
-    pub migrated: usize,
     /// Duplicate frames for already-live keys dropped during the rewrite
     /// (content-addressed, so they held identical payloads).
     pub superseded: usize,
@@ -1145,12 +1051,11 @@ impl ScrubReport {
     pub fn summary(&self) -> String {
         format!(
             "scrubbed {} entries: {} ok, {} quarantined ({} checker-rejected), \
-             {} migrated, {} superseded, {} segments written, {} stale tmp files removed",
+             {} superseded, {} segments written, {} stale tmp files removed",
             self.scanned,
             self.ok,
             self.quarantined.len(),
             self.checker_rejected,
-            self.migrated,
             self.superseded,
             self.segments_written,
             self.tmp_removed
@@ -1168,45 +1073,25 @@ impl ScrubReport {
             let _ = write!(
                 entries,
                 r#"{{"file":{},"reason":{}}}"#,
-                json_str(file),
-                json_str(reason)
+                json_string(file),
+                json_string(reason)
             );
         }
         format!(
             concat!(
                 r#"{{"scanned":{},"ok":{},"tmp_removed":{},"#,
-                r#""checker_rejected":{},"migrated":{},"superseded":{},"#,
+                r#""checker_rejected":{},"superseded":{},"#,
                 r#""segments_written":{},"quarantined":[{}]}}"#
             ),
             self.scanned,
             self.ok,
             self.tmp_removed,
             self.checker_rejected,
-            self.migrated,
             self.superseded,
             self.segments_written,
             entries
         )
     }
-}
-
-/// Encodes a string as a JSON string literal (with quotes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl ProofStore {
@@ -1225,27 +1110,15 @@ impl ProofStore {
         self.compact(validate)
     }
 
-    /// Migrates a legacy flat-directory store into segments: exactly a
-    /// [`ProofStore::compact`] pass (which rewrites flat entries too);
-    /// the report's `migrated` field says how many flat entries moved.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProofStore::compact`].
-    pub fn migrate(&self) -> io::Result<ScrubReport> {
-        self.compact(None)
-    }
-
-    /// Compacts the store: validates every segment frame, flat entry and
-    /// head record, rewrites the live set into fresh segments, atomically
-    /// swaps the manifest, then removes the old segments and migrated
-    /// flat files.
+    /// Compacts the store: validates every segment frame and head record,
+    /// rewrites the live set into fresh segments, atomically swaps the
+    /// manifest, then removes the old segments.
     ///
     /// * Corrupt frames are **quarantined** (their bytes are preserved
     ///   under [`QUARANTINE_DIR`], with a reason), and a corrupt frame
     ///   ends its segment's scan — the unparseable tail is quarantined
-    ///   whole. Bad flat/head files are moved into quarantine like the
-    ///   PR 5 scrub did. Quarantining never deletes evidence: a
+    ///   whole. Bad head files are moved into quarantine like the PR 5
+    ///   scrub did. Quarantining never deletes evidence: a
     ///   false-positive costs a future miss, not data.
     /// * With `validate` supplied, every entry keyed by that program and
     ///   options is additionally run through the independent certificate
@@ -1316,10 +1189,7 @@ impl ProofStore {
                 }
             };
 
-        // Pass 1: the root directory — tmp/probe debris, head records,
-        // legacy flat entries.
-        let mut flat_live: Vec<(Key, Vec<u8>)> = Vec::new();
-        let mut flat_files: HashMap<Key, PathBuf> = HashMap::new();
+        // Pass 1: the root directory — tmp/probe debris and head records.
         for path in inner
             .fs
             .read_dir(&inner.root)
@@ -1334,13 +1204,11 @@ impl ProofStore {
                 }
                 continue;
             }
-            let is_cert = name.ends_with(".cert");
-            let is_head = name.ends_with(".head");
-            if !is_cert && !is_head {
+            if !name.ends_with(".head") {
                 continue; // MANIFEST, shard dirs, quarantine/, user files, …
             }
             report.scanned += 1;
-            let verdict: Result<Option<(Key, Vec<u8>)>, String> = match inner.fs.read(&path) {
+            let verdict: Result<(), String> = match inner.fs.read(&path) {
                 Err(e) => {
                     inner.count_io_error();
                     Err(format!("unreadable: {e}"))
@@ -1349,27 +1217,14 @@ impl ProofStore {
                     None => Err(
                         "corrupt frame (bad magic, version, or integrity fingerprint)".to_owned(),
                     ),
-                    Some(payload) if is_head => match decode_head(&payload) {
-                        Some(_) => Ok(None),
+                    Some(payload) => match decode_head(&payload) {
+                        Some(_) => Ok(()),
                         None => Err("undecodable head payload".to_owned()),
-                    },
-                    Some(payload) => match parse_entry_name(name) {
-                        None => Err("unparseable entry file name".to_owned()),
-                        Some(key) => {
-                            match check_payload(key, &payload, &mut report.checker_rejected) {
-                                Ok(()) => Ok(Some((key, payload))),
-                                Err(reason) => Err(reason),
-                            }
-                        }
                     },
                 },
             };
             match verdict {
-                Ok(None) => report.ok += 1, // heads stay in place
-                Ok(Some((key, payload))) => {
-                    flat_files.insert(key, path.clone());
-                    flat_live.push((key, payload));
-                }
+                Ok(()) => report.ok += 1, // heads stay in place
                 Err(reason) => {
                     let moved = inner
                         .fs
@@ -1459,26 +1314,7 @@ impl ProofStore {
             }
         }
 
-        // Merge the flat tier behind the segments (segments win), then fix
-        // a deterministic rewrite order.
-        let mut migrated_paths: Vec<PathBuf> = Vec::new();
-        for (key, payload) in flat_live {
-            if seen.contains(&key) {
-                report.superseded += 1;
-                // The flat duplicate of a segment entry is removed with the
-                // old segments below.
-                if let Some(p) = flat_files.remove(&key) {
-                    migrated_paths.push(p);
-                }
-            } else {
-                seen.insert(key);
-                report.migrated += 1;
-                if let Some(p) = flat_files.remove(&key) {
-                    migrated_paths.push(p);
-                }
-                live.push((key, payload));
-            }
-        }
+        // Fix a deterministic rewrite order.
         live.sort_by_key(|(k, _)| *k);
         report.ok += live.len();
 
@@ -1509,7 +1345,7 @@ impl ProofStore {
                 for (key, offset, len, payload_fp) in seg_locs.drain(..) {
                     new_index.insert(
                         key,
-                        Loc::Seg {
+                        Loc {
                             shard: shard as u8,
                             seq,
                             offset,
@@ -1554,7 +1390,7 @@ impl ProofStore {
         inner.write_manifest(&m2)?;
 
         // Pass 5: sweep what the new manifest no longer references — old
-        // segments, shard-dir debris, migrated flat files. Best-effort:
+        // segments and shard-dir debris. Best-effort:
         // leftovers are orphans the next compaction sweeps.
         for shard in 0..SHARD_COUNT {
             let dir = inner.root.join(shard_dir_name(shard));
@@ -1581,9 +1417,6 @@ impl ProofStore {
                     _ => {}
                 }
             }
-        }
-        for path in migrated_paths {
-            let _ = inner.fs.remove_file(&path);
         }
 
         // Pass 6: serve the rewritten store.
@@ -1619,8 +1452,6 @@ impl ProofStore {
 pub struct StoreStat {
     /// Keys served from segment logs.
     pub entries: usize,
-    /// Keys still served from legacy flat files.
-    pub flat_entries: usize,
     /// Head records under the root.
     pub heads: usize,
     /// Shards (fixed by the format).
@@ -1629,8 +1460,6 @@ pub struct StoreStat {
     pub segments: usize,
     /// Total bytes across live segment files.
     pub segment_bytes: u64,
-    /// Total bytes across legacy flat entry files.
-    pub flat_bytes: u64,
     /// Total bytes across head files.
     pub head_bytes: u64,
     /// Wall-clock cost of the open-time index build, milliseconds.
@@ -1645,19 +1474,16 @@ impl StoreStat {
     /// The human-readable multi-line rendering.
     pub fn render_text(&self) -> String {
         format!(
-            "entries        {} in segments, {} flat, {} heads\n\
+            "entries        {} in segments, {} heads\n\
              segments       {} across {} shards ({} bytes)\n\
-             flat bytes     {}\n\
              head bytes     {}\n\
              index build    {:.3} ms ({} segments skipped)\n\
              hot tier       {} certificates\n",
             self.entries,
-            self.flat_entries,
             self.heads,
             self.segments,
             self.shards,
             self.segment_bytes,
-            self.flat_bytes,
             self.head_bytes,
             self.index_build_ms,
             self.scan_skipped,
@@ -1669,18 +1495,16 @@ impl StoreStat {
     pub fn render_json(&self) -> String {
         format!(
             concat!(
-                "{{\n  \"entries\": {},\n  \"flat_entries\": {},\n  \"heads\": {},\n",
+                "{{\n  \"entries\": {},\n  \"heads\": {},\n",
                 "  \"shards\": {},\n  \"segments\": {},\n  \"segment_bytes\": {},\n",
-                "  \"flat_bytes\": {},\n  \"head_bytes\": {},\n  \"index_build_ms\": {:.3},\n",
+                "  \"head_bytes\": {},\n  \"index_build_ms\": {:.3},\n",
                 "  \"scan_skipped\": {},\n  \"hot_entries\": {}\n}}\n"
             ),
             self.entries,
-            self.flat_entries,
             self.heads,
             self.shards,
             self.segments,
             self.segment_bytes,
-            self.flat_bytes,
             self.head_bytes,
             self.index_build_ms,
             self.scan_skipped,
@@ -1701,18 +1525,13 @@ impl ProofStore {
         let inner = &*self.inner;
         let log = inner.log_lock();
         let mut stat = StoreStat {
+            entries: log.index.len(),
             shards: SHARD_COUNT,
             index_build_ms: log.build_ms,
             scan_skipped: log.scan_skipped,
             hot_entries: inner.lru_lock().map.len(),
             ..StoreStat::default()
         };
-        for loc in log.index.values() {
-            match loc {
-                Loc::Seg { .. } => stat.entries += 1,
-                Loc::Flat => stat.flat_entries += 1,
-            }
-        }
         for shard in 0..SHARD_COUNT {
             for &seq in &log.manifest.segments[shard] {
                 let path = inner.segment_path(shard, seq);
@@ -1730,9 +1549,7 @@ impl ProofStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if name.ends_with(".cert") {
-                stat.flat_bytes += inner.fs.file_len(&path).unwrap_or(0);
-            } else if name.ends_with(".head") {
+            if name.ends_with(".head") {
                 stat.heads += 1;
                 stat.head_bytes += inner.fs.file_len(&path).unwrap_or(0);
             }
@@ -1938,15 +1755,6 @@ mod tests {
                 None => assert!(!(8..32).contains(&i), "flip {i} rejected"),
             }
         }
-    }
-
-    #[test]
-    fn flat_entry_names_parse_back() {
-        let key = (Fp(0xdead), Fp(1), Fp(u64::MAX));
-        let name = format!("{}-{}-{}.cert", key.0, key.1, key.2);
-        assert_eq!(parse_entry_name(&name), Some(key));
-        assert_eq!(parse_entry_name("head-x-y.head"), None);
-        assert_eq!(parse_entry_name("junk.cert"), None);
     }
 
     #[test]

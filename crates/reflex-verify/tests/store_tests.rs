@@ -6,10 +6,15 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use reflex_ast::fingerprint::{Fp, FpHasher};
 use reflex_parser::parse_program;
 use reflex_typeck::{check, CheckedProgram};
-use reflex_verify::{verify_with_store, ProofStore, ProverOptions};
+use reflex_verify::{
+    certificate_to_bytes, verify_with_store, FaultyFs, FsFault, FsFaultPlan, FsOp, ProofStore,
+    ProverOptions, STORE_VERSION,
+};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rx-store-test-{tag}-{}", std::process::id()));
@@ -197,65 +202,63 @@ fn parallel_and_serial_stores_are_bit_identical() {
     }
 }
 
+/// The store has one layout: segment logs. A key the index does not
+/// hold is a miss decided in memory — no disk read that a failing disk
+/// could turn into an I/O error — and a stray file in the pre-segment
+/// flat format (`{prog}-{prop}-{opts}.cert` in the root) is neither
+/// indexed nor touched by compaction.
 #[test]
-fn flat_stores_read_transparently_and_migrate_into_segments() {
-    let dir = temp_store("migrate");
+fn unindexed_misses_touch_no_disk_and_stray_flat_files_are_ignored() {
+    let dir = temp_store("no-flat-tier");
+    fs::create_dir_all(&dir).expect("store dir");
     let options = ProverOptions::default();
-    let program = checked("ssh", reflex_kernels::ssh::SOURCE);
-    let props = program.program().properties.len();
+    let program = checked("car", reflex_kernels::car::SOURCE);
     let fps = program.fingerprints();
     let opts_fp = options.fingerprint();
+    let (name, outcome) = reflex_verify::prove_all(&program, &options).remove(0);
+    let pfp = fps.property(&name).expect("known property");
 
-    // A "legacy" store: one flat `.cert` file per certificate, written in
-    // the pre-segment format.
-    let outcomes = reflex_verify::prove_all(&program, &options);
-    {
-        let store = ProofStore::open(&dir).expect("store opens");
-        for (name, outcome) in &outcomes {
-            let cert = outcome.certificate().expect("ssh proves");
-            let pfp = fps.property(name).expect("known property");
-            store
-                .write_flat_entry(fps.program, pfp, opts_fp, cert)
-                .expect("flat write");
-        }
-    }
-    let flat_names: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("store dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cert"))
-        .collect();
-    assert_eq!(flat_names.len(), props, "legacy layout on disk");
+    // A well-formed flat entry: magic, version, payload fingerprint,
+    // certificate bytes.
+    let payload = certificate_to_bytes(outcome.certificate().expect("car proves"));
+    let mut hasher = FpHasher::new();
+    hasher.write(&payload);
+    let mut flat = b"RXPS".to_vec();
+    flat.extend_from_slice(&STORE_VERSION.to_le_bytes());
+    flat.extend_from_slice(&hasher.finish().0.to_le_bytes());
+    flat.extend_from_slice(&payload);
+    let stray = dir.join(format!("{}-{pfp}-{opts_fp}.cert", fps.program));
+    fs::write(&stray, &flat).expect("stray flat entry written");
 
-    // Transparent reads: a fresh open indexes the flat entries and serves
-    // every certificate without rewriting anything.
-    let store = ProofStore::open(&dir).expect("store re-opens");
-    let stat = store.stat().expect("stat");
-    assert_eq!(stat.flat_entries, props);
-    assert_eq!(stat.entries, 0);
-    let sr = verify_with_store(&program, &options, &store, 1).expect("verifies");
-    assert_eq!(sr.loaded, props, "flat entries are served transparently");
-    assert_eq!(sr.report.reused.len(), props);
+    // Opening an empty store reads only MANIFEST (read #0); the next
+    // read of any kind fails with EIO.
+    let faulty = FaultyFs::new(FsFaultPlan::Scripted(vec![(
+        FsOp::Read,
+        1,
+        FsFault::ReadEio,
+    )]));
+    let store = ProofStore::open_with(&dir, Arc::new(faulty.clone())).expect("store opens");
+    let io_before = store.io_errors();
 
-    // Migration rewrites them into segments and removes the flat files;
-    // the live set is unchanged key-for-key and byte-for-byte.
-    let before = store.entries();
-    let report = store.migrate().expect("migrates");
-    assert_eq!(report.migrated, props, "every flat entry moved");
-    assert!(report.quarantined.is_empty(), "nothing was corrupt");
-    assert_eq!(store.entries(), before, "live set unchanged by migration");
-    for path in &flat_names {
-        assert!(!path.exists(), "{}: flat entry swept", path.display());
-    }
-    let stat = store.stat().expect("stat after migrate");
-    assert_eq!(stat.flat_entries, 0);
-    assert_eq!(stat.entries, props);
-    assert!(stat.segments >= 1, "live entries now live in segments");
+    assert!(store.load(fps.program, Fp(0xab5e), opts_fp).is_none());
+    assert_eq!(store.io_errors(), io_before, "a miss is not an I/O error");
+    assert_eq!(faulty.injected(), 0, "a miss performs no read");
 
-    // And a from-scratch open over the migrated layout still serves all.
-    let store = ProofStore::open(&dir).expect("store re-opens post-migration");
-    let sr = verify_with_store(&program, &options, &store, 1).expect("verifies");
-    assert_eq!(sr.loaded, props, "migrated entries serve on reopen");
-    assert_eq!(sr.report.reused.len(), props);
+    assert!(
+        store.load(fps.program, pfp, opts_fp).is_none(),
+        "the stray flat entry is not served"
+    );
+    assert_eq!(faulty.injected(), 0);
+
+    assert!(store.entries().is_empty(), "the stray file is not indexed");
+    let report = store.compact(None).expect("compacts");
+    assert!(report.quarantined.is_empty(), "{report:?}");
+    assert_eq!(
+        fs::read(&stray).expect("stray file survives compaction"),
+        flat,
+        "compaction leaves the stray file untouched"
+    );
+    assert!(store.entries().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -15,7 +15,6 @@
 //! rx sim     replay FILE      re-execute a repro.json bit for bit
 //! rx store   scrub DIR [FILE] validate a proof store, quarantining bad entries
 //! rx store   compact DIR      rewrite live entries into fresh segments
-//! rx store   migrate DIR      fold a flat-layout store into segment logs
 //! rx store   stat DIR         entry/segment/shard counts and index cost
 //! rx gen     PRESET           emit a deterministic synthetic kernel
 //! rx bench   scale            prove the generated presets, report throughput
@@ -75,7 +74,7 @@ use reflex::verify::{falsify, FalsifyOptions, ProverOptions};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   migrate|stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   scale [--seed N] [--jobs N] [--preset NAME] [--json]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx bench   serve [--clients N] [--requests N] [--socket PATH | --tcp ADDR]\n             [--jobs N] [--json] [--overload]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
+        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   scale [--seed N] [--jobs N] [--preset NAME] [--json]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx bench   serve [--clients N] [--requests N] [--socket PATH | --tcp ADDR]\n             [--jobs N] [--json] [--overload]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
     );
     ExitCode::from(2)
 }
@@ -567,7 +566,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "store",
-        synopsis: "scrub|compact|migrate|stat DIR [FILE]",
+        synopsis: "scrub|compact|stat DIR [FILE]",
         flags: STORE_FLAGS,
         run: cmd_store,
     },
@@ -1261,15 +1260,7 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
 /// object carrying the typed `ERR_*` code.
 fn client_error(json: bool, e: ClientError) -> CliError {
     if json {
-        let escaped: String = e
-            .to_string()
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect();
+        let message = reflex::verify::json_string(&e.to_string());
         let code = match e.remote_code() {
             Some(code) => code.to_string(),
             None => "null".to_owned(),
@@ -1279,7 +1270,7 @@ fn client_error(json: bool, e: ClientError) -> CliError {
             None => "null".to_owned(),
         };
         println!(
-            "{{\"error\": \"{escaped}\", \"code\": {code}, \"retryable\": {}, \"retry_after_ms\": {retry_after}}}",
+            "{{\"error\": {message}, \"code\": {code}, \"retryable\": {}, \"retry_after_ms\": {retry_after}}}",
             e.is_retryable()
         );
     }
@@ -1520,57 +1511,45 @@ fn cmd_sim(parsed: &cli::Parsed) -> Result<(), CliError> {
     }
 }
 
-/// `rx store scrub|compact|migrate|stat DIR [FILE]`: audit or reshape a
-/// proof store in place. `scrub` and `compact` are the same pass —
-/// rewrite live entries into fresh segments, drop superseded frames,
-/// quarantine corrupt ones; with FILE, entries belonging to that
-/// kernel's current properties are additionally re-validated by the
-/// independent checker. `migrate` folds a flat-layout store into the
-/// segmented layout (compaction without a kernel). `stat` reports entry,
-/// segment and shard counts, on-disk bytes, and the open-time index
-/// build cost, as text or `--json`.
+/// `rx store scrub|compact|stat DIR [FILE]`: audit or reshape a proof
+/// store in place. `scrub` and `compact` are the same pass — rewrite
+/// live entries into fresh segments, drop superseded frames, quarantine
+/// corrupt ones; with FILE, entries belonging to that kernel's current
+/// properties are additionally re-validated by the independent checker.
+/// `stat` reports entry, segment and shard counts, on-disk bytes, and
+/// the open-time index build cost, as text or `--json`.
 fn cmd_store(parsed: &cli::Parsed) -> Result<(), CliError> {
-    let (action, dir, file) =
-        match parsed.positional.as_slice() {
-            [action, dir] => (action.as_str(), dir.as_str(), None),
-            [action, dir, file] if action == "scrub" || action == "compact" => {
-                (action.as_str(), dir.as_str(), Some(file.as_str()))
-            }
-            _ => return Err(CliError::Usage(
-                "expected `scrub DIR [FILE]`, `compact DIR [FILE]`, `migrate DIR` or `stat DIR`"
-                    .into(),
-            )),
-        };
-    let store =
-        reflex::verify::ProofStore::open(dir).map_err(|e| CliError::Run(format!("{dir}: {e}")))?;
-    let report = match action {
-        "stat" => {
-            let stat = store
-                .stat()
-                .map_err(|e| CliError::Run(format!("{dir}: stat failed: {e}")))?;
-            if parsed.is_set("--json") {
-                print!("{}", stat.render_json());
-            } else {
-                print!("{}", stat.render_text());
-            }
-            return Ok(());
+    let (action, dir, file) = match parsed.positional.as_slice() {
+        [action, dir] if matches!(action.as_str(), "scrub" | "compact" | "stat") => {
+            (action.as_str(), dir.as_str(), None)
         }
-        "scrub" | "compact" => {
-            let checked = file.map(load).transpose()?;
-            let options = ProverOptions::default();
-            store
-                .compact(checked.as_ref().map(|c| (c, &options)))
-                .map_err(|e| CliError::Run(format!("{dir}: {action} failed: {e}")))?
+        [action, dir, file] if action == "scrub" || action == "compact" => {
+            (action.as_str(), dir.as_str(), Some(file.as_str()))
         }
-        "migrate" => store
-            .migrate()
-            .map_err(|e| CliError::Run(format!("{dir}: migrate failed: {e}")))?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown action `{other}` (expected scrub, compact, migrate or stat)"
-            )))
+        _ => {
+            return Err(CliError::Usage(
+                "expected `scrub DIR [FILE]`, `compact DIR [FILE]` or `stat DIR`".into(),
+            ))
         }
     };
+    let store =
+        reflex::verify::ProofStore::open(dir).map_err(|e| CliError::Run(format!("{dir}: {e}")))?;
+    if action == "stat" {
+        let stat = store
+            .stat()
+            .map_err(|e| CliError::Run(format!("{dir}: stat failed: {e}")))?;
+        if parsed.is_set("--json") {
+            print!("{}", stat.render_json());
+        } else {
+            print!("{}", stat.render_text());
+        }
+        return Ok(());
+    }
+    let checked = file.map(load).transpose()?;
+    let options = ProverOptions::default();
+    let report = store
+        .compact(checked.as_ref().map(|c| (c, &options)))
+        .map_err(|e| CliError::Run(format!("{dir}: {action} failed: {e}")))?;
     if parsed.is_set("--json") {
         print!("{}", report.render_json());
     } else {

@@ -316,15 +316,27 @@ fn watch_starts_degraded_when_the_store_cannot_open() {
 
 #[test]
 fn chaos_single_seed_upholds_invariants_and_writes_json() {
-    let (ok, stdout, stderr) = rx(&["chaos", "--seeds", "0..1"]);
-    assert!(ok, "{stdout}\n{stderr}");
+    // Run in a scratch directory so the committed BENCH_chaos.json at the
+    // repository root is left alone.
+    let dir = std::env::temp_dir().join(format!("rx-cli-chaos-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_rx"))
+        .args(["chaos", "--seeds", "0..1"])
+        .current_dir(&dir)
+        .output()
+        .expect("rx runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}\n{stderr}");
     assert!(
         stdout.contains("all robustness invariants held"),
         "{stdout}"
     );
-    let json = std::fs::read_to_string("BENCH_chaos.json").expect("BENCH_chaos.json written");
+    let json =
+        std::fs::read_to_string(dir.join("BENCH_chaos.json")).expect("BENCH_chaos.json written");
     assert!(json.contains(r#""invariants_held": true"#), "{json}");
     assert!(json.contains(r#""aborts": 0"#), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
