@@ -22,14 +22,14 @@
 //! reproduces it, and [`repro`] serializes that minimized configuration
 //! as a `repro.json` that `rx sim replay FILE` re-executes bit-for-bit.
 //! [`swarm::run_swarm`] fans a seed range across scenarios (this is the
-//! CI entry point behind `rx sim swarm`), and [`presets`] re-exposes the
-//! pre-simulator `rx chaos` / `rx soak` suites as thin presets.
+//! CI entry point behind `rx sim swarm`), and [`chaos`] renders the
+//! chaos scenario's per-seed runs as the `rx chaos` report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod net;
-pub mod presets;
 pub mod repro;
 pub mod scenario;
 pub mod shrink;

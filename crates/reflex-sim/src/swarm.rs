@@ -224,13 +224,13 @@ pub fn render_swarm(bench: &SwarmBench) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<12} {:>6} {:>6} {:>20}  violation",
+        "{:<12} {:>6} {:>6} {:>18}  violation",
         "scenario", "seed", "steps", "trace"
     );
     for run in &bench.runs {
         let _ = writeln!(
             out,
-            "{:<12} {:>6} {:>6} {:>#20x}  {}",
+            "{:<12} {:>6} {:>6} {:#018x}  {}",
             run.scenario.label(),
             run.seed,
             run.steps_run,

@@ -173,3 +173,32 @@ fn labels_round_trip() {
         assert_eq!(ViolationKind::parse(kind.label()), Some(kind));
     }
 }
+
+/// The swarm table prints each trace fingerprint exactly as the JSON
+/// does (zero-padded to 16 hex digits), so one can be grepped for the
+/// other.
+#[test]
+fn swarm_table_and_json_print_fingerprints_alike() {
+    let bench = swarm::SwarmBench {
+        scenarios: vec![Scenario::Chaos],
+        seeds: vec![5],
+        jobs: 1,
+        runs: vec![swarm::SwarmRun {
+            scenario: Scenario::Chaos,
+            seed: 5,
+            steps: 5,
+            steps_run: 5,
+            trace_fingerprint: 0x0147_ac63_a45d_70d0,
+            violation: None,
+            shrunk_steps: None,
+            repro_path: None,
+        }],
+    };
+    let table = swarm::render_swarm(&bench);
+    let json = swarm::render_swarm_json(&bench);
+    assert!(table.contains("0x0147ac63a45d70d0"), "{table}");
+    assert!(
+        json.contains(r#""trace_fingerprint": "0x0147ac63a45d70d0""#),
+        "{json}"
+    );
+}

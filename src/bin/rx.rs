@@ -9,7 +9,7 @@
 //! rx show    FILE             pretty-print the kernel and its statistics
 //! rx run     FILE [N [SEED]]  boot the kernel and run up to N exchanges
 //! rx soak                     soak the bundled kernels under fault injection
-//! rx chaos                    replay the watch loop under injected store faults
+//! rx chaos                    run the chaos scenario per seed, write BENCH_chaos.json
 //! rx sim     run              drive one deterministic whole-stack scenario
 //! rx sim     swarm            fan a seed range across every scenario (CI)
 //! rx sim     replay FILE      re-execute a repro.json bit for bit
@@ -40,15 +40,15 @@
 //! `rx run` accepts `--faults SPEC --supervise --monitor` to run the
 //! kernel under the supervised runtime with deterministic fault
 //! injection; `rx soak` drives every bundled Figure-6 kernel that way.
-//! `rx chaos` replays the scripted incremental session with the proof
-//! store on a seeded faulty filesystem and checks the robustness
-//! invariants (no aborts, no wrong reuse, no quarantine escapes);
-//! `rx store scrub` audits a store directory in place. Both `rx chaos`
-//! and `rx soak` are presets over the deterministic simulator's engine
-//! surface (`reflex::sim::presets`); `rx sim` is the simulator's own
-//! front door — one root seed drives every fault stream through a
-//! virtual clock, every run leaves a replayable trace, and violations
-//! are auto-shrunk into `repro.json` files `rx sim replay` re-executes.
+//! `rx chaos` runs the simulator's chaos scenario once per seed — a
+//! synthetic edit ladder through the watch loop with the proof store on
+//! a seeded faulty filesystem — and reports its robustness invariants
+//! (no aborts, no wrong reuse, no quarantine escapes) as
+//! `BENCH_chaos.json`; `rx store scrub` audits a store directory in
+//! place. `rx sim` is the simulator's own front door — one root seed
+//! drives every fault stream through a virtual clock, every run leaves a
+//! replayable trace, and violations are auto-shrunk into `repro.json`
+//! files `rx sim replay` re-executes.
 //!
 //! Exit codes: 0 success, 1 the kernel/properties have problems,
 //! 2 usage errors.
@@ -56,7 +56,10 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use reflex::bench::soak::soak_program_with_plan;
+use reflex::bench::soak::{
+    render_soak, render_soak_json, run_soak, run_soak_bench, soak_kernel, soak_program_with_plan,
+    SoakConfig, SoakOutcome,
+};
 use reflex::cli::{self, FlagSpec};
 use reflex::driver::{
     load_program, Instrument, JsonLinesSink, NullSink, SessionConfig, SessionError, VerifySession,
@@ -66,15 +69,12 @@ use reflex::service::{
     Client, ClientError, Endpoint, Reply, Request, RetryPolicy, RetryingClient, ServiceConfig,
     ServiceCore, ServiceError, StatsSnapshot,
 };
-use reflex::sim::presets::{
-    render_soak, render_soak_json, run_soak_bench_preset, run_soak_preset, SoakConfig, SoakOutcome,
-};
 use reflex::typeck::CheckedProgram;
 use reflex::verify::{falsify, FalsifyOptions, ProverOptions};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   scale [--seed N] [--jobs N] [--preset NAME] [--json]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx bench   serve [--clients N] [--requests N] [--socket PATH | --tcp ADDR]\n             [--jobs N] [--json] [--overload]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
+        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   scale [--seed N] [--jobs N] [--preset NAME] [--json]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx bench   serve [--clients N] [--requests N] [--socket PATH | --tcp ADDR]\n             [--jobs N] [--json] [--overload]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
     );
     ExitCode::from(2)
 }
@@ -285,22 +285,12 @@ const CHAOS_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--seeds",
         value: Some("A..B"),
-        help: "fault-schedule seed range to replay (default 0..8)",
+        help: "chaos scenario seed range to run (default 0..8)",
     },
     FlagSpec {
         name: "--rate",
         value: Some("PPM"),
-        help: "per-operation fault rate, parts per million (default 50000)",
-    },
-    FlagSpec {
-        name: "--jobs",
-        value: Some("N"),
-        help: "prove on N worker threads (0: one per CPU)",
-    },
-    FlagSpec {
-        name: "--gen",
-        value: Some("SEED"),
-        help: "replay a generated kernel (small preset, seed SEED) instead of fig6",
+        help: "per-operation store fault rate, parts per million (default 50000)",
     },
 ];
 
@@ -1008,38 +998,36 @@ fn cmd_run_supervised(opts: &RunOpts, checked: &CheckedProgram) -> Result<(), Cl
     Ok(())
 }
 
-/// `rx chaos [--seeds A..B] [--rate PPM] [--jobs N]`: replay the scripted
-/// incremental session under seeded store faults, write `BENCH_chaos.json`
-/// and fail unless every robustness invariant held.
+/// `rx chaos [--seeds A..B] [--rate PPM]`: run the simulator's chaos
+/// scenario once per seed, write `BENCH_chaos.json` and fail unless every
+/// robustness invariant held.
 fn cmd_chaos(parsed: &cli::Parsed) -> Result<(), CliError> {
-    use reflex::sim::presets::{render_chaos, render_chaos_json, run_chaos_preset, ChaosConfig};
+    use reflex::sim::chaos::{render_chaos, render_chaos_json, ChaosReport};
     if !parsed.positional.is_empty() {
         return Err(CliError::Usage(format!(
             "unexpected operand `{}`",
             parsed.positional[0]
         )));
     }
-    let mut cfg = ChaosConfig::default();
-    if let Some(spec) = parsed.value("--seeds") {
-        cfg.seeds = parse_seed_range(spec).map_err(CliError::Usage)?;
-    }
-    cfg.rate_ppm = parsed
-        .get("--rate", cfg.rate_ppm)
-        .map_err(CliError::Usage)?;
-    cfg.jobs = parsed.get("--jobs", cfg.jobs).map_err(CliError::Usage)?;
-    cfg.gen_seed = parsed.get_opt("--gen").map_err(CliError::Usage)?;
-    let bench = run_chaos_preset(&cfg).map_err(CliError::run)?;
-    print!("{}", render_chaos(&bench));
-    std::fs::write("BENCH_chaos.json", render_chaos_json(&bench))
+    let seeds = match parsed.value("--seeds") {
+        Some(spec) => parse_seed_range(spec).map_err(CliError::Usage)?,
+        None => (0..8).collect(),
+    };
+    let rate_ppm: u32 = parsed.get("--rate", 50_000).map_err(CliError::Usage)?;
+    let report = ChaosReport::run(&seeds, rate_ppm).map_err(CliError::Run)?;
+    print!("{}", render_chaos(&report));
+    std::fs::write("BENCH_chaos.json", render_chaos_json(&report))
         .map_err(|e| CliError::Run(format!("BENCH_chaos.json: {e}")))?;
     println!("wrote BENCH_chaos.json");
-    if bench.violations() > 0 {
+    let violated: Vec<String> = report
+        .seeds
+        .iter()
+        .filter_map(|s| Some(format!("seed {} ({})", s.seed, s.violation?)))
+        .collect();
+    if !violated.is_empty() {
         return Err(CliError::Run(format!(
-            "{} robustness invariant violation(s): {} abort(s), {} certificate mismatch(es), {} quarantine escape(s)",
-            bench.violations(),
-            bench.total_aborts(),
-            bench.total_cert_mismatches(),
-            bench.total_quarantine_escapes()
+            "robustness invariant violated: {} (replay one with `rx sim run --scenario chaos --seed N --fs-rate {rate_ppm}`)",
+            violated.join(", ")
         )));
     }
     Ok(())
@@ -1595,9 +1583,9 @@ fn cmd_soak(parsed: &cli::Parsed) -> Result<(), CliError> {
             .enumerate()
             .find(|(_, b)| b.name == name)
             .ok_or_else(|| CliError::Run(format!("no bundled kernel named `{name}`")))?;
-        vec![reflex::bench::soak::soak_kernel(bench, &cfg, index)]
+        vec![soak_kernel(bench, &cfg, index)]
     } else if json {
-        let bench = run_soak_bench_preset(&cfg);
+        let bench = run_soak_bench(&cfg);
         let doc = render_soak_json(&bench);
         std::fs::write("BENCH_soak.json", &doc)
             .map_err(|e| CliError::Run(format!("BENCH_soak.json: {e}")))?;
@@ -1613,7 +1601,7 @@ fn cmd_soak(parsed: &cli::Parsed) -> Result<(), CliError> {
         );
         bench.monitored
     } else {
-        run_soak_preset(&cfg)
+        run_soak(&cfg)
     };
     print!("{}", render_soak(&outcomes));
     if let Some(dir) = incident_dir {

@@ -321,7 +321,7 @@ fn chaos_single_seed_upholds_invariants_and_writes_json() {
     let dir = std::env::temp_dir().join(format!("rx-cli-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_rx"))
-        .args(["chaos", "--seeds", "0..1"])
+        .args(["chaos", "--seeds", "0..2"])
         .current_dir(&dir)
         .output()
         .expect("rx runs");
@@ -336,6 +336,24 @@ fn chaos_single_seed_upholds_invariants_and_writes_json() {
         std::fs::read_to_string(dir.join("BENCH_chaos.json")).expect("BENCH_chaos.json written");
     assert!(json.contains(r#""invariants_held": true"#), "{json}");
     assert!(json.contains(r#""aborts": 0"#), "{json}");
+    // One engine: each row is the swarm's chaos run for its seed, so its
+    // fingerprint is the committed BENCH_sim.json chaos row's (seed 0:
+    // 0x26b177f2dfbbb8e3, seed 1: 0xf6e22d3cc140a167).
+    let sim = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sim.json"))
+        .expect("committed BENCH_sim.json");
+    for seed in 0..2 {
+        let sim_row = sim
+            .lines()
+            .find(|l| l.contains(&format!(r#""scenario": "chaos", "seed": {seed},"#)))
+            .expect("committed chaos row");
+        let fingerprint = sim_row
+            .split(r#""trace_fingerprint": ""#)
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("row fingerprint");
+        let row = format!(r#"{{"seed": {seed}, "trace_fingerprint": "{fingerprint}""#);
+        assert!(json.contains(&row), "missing {row} in {json}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
