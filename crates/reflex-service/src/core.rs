@@ -131,12 +131,35 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A pending request's completion slot: the submitting thread blocks in
-/// [`Ticket::wait`] until a worker fills it.
-#[derive(Debug, Default)]
+/// A completion hook: receives the terminal result on whichever thread
+/// fills the ticket.
+type Hook = Box<dyn FnOnce(Result<Reply, ServiceError>) + Send>;
+
+/// Where a ticket's terminal result goes.
+#[derive(Default)]
+enum Slot {
+    /// Not filled (or its result was already handed out).
+    #[default]
+    Pending,
+    /// Not filled; the result goes straight to this hook.
+    Hooked(Hook),
+    /// Filled, waiting for [`Ticket::wait`] or [`Ticket::on_complete`].
+    Filled(Result<Reply, ServiceError>),
+}
+
+/// A pending request's completion slot. The result is consumed once:
+/// either a thread blocks in [`Ticket::wait`] until a worker fills it,
+/// or a hook registered with [`Ticket::on_complete`] receives it.
+#[derive(Default)]
 pub struct Ticket {
-    slot: Mutex<Option<Result<Reply, ServiceError>>>,
+    slot: Mutex<Slot>,
     done: Condvar,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket").finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
@@ -144,17 +167,43 @@ impl Ticket {
     pub fn wait(&self) -> Result<Reply, ServiceError> {
         let mut slot = self.slot.lock().expect("ticket poisoned");
         loop {
-            if let Some(result) = slot.take() {
-                return result;
+            match std::mem::take(&mut *slot) {
+                Slot::Filled(result) => return result,
+                other => *slot = other,
             }
             slot = self.done.wait(slot).expect("ticket poisoned");
         }
     }
 
+    /// Hands the terminal result to `hook` instead of a waiting thread:
+    /// right here if the ticket is already filled, otherwise on the
+    /// thread that fills it. A worker may fill a ticket while holding
+    /// the scheduler or idempotency-window lock, so the hook must only
+    /// hand the result on (queue it), never block.
+    pub fn on_complete(&self, hook: impl FnOnce(Result<Reply, ServiceError>) + Send + 'static) {
+        let mut slot = self.slot.lock().expect("ticket poisoned");
+        match std::mem::take(&mut *slot) {
+            Slot::Filled(result) => {
+                drop(slot);
+                hook(result);
+            }
+            Slot::Pending => *slot = Slot::Hooked(Box::new(hook)),
+            Slot::Hooked(_) => panic!("a ticket takes one completion hook"),
+        }
+    }
+
     fn fill(&self, result: Result<Reply, ServiceError>) {
         let mut slot = self.slot.lock().expect("ticket poisoned");
-        *slot = Some(result);
-        self.done.notify_all();
+        match std::mem::take(&mut *slot) {
+            Slot::Hooked(hook) => {
+                drop(slot);
+                hook(result);
+            }
+            _ => {
+                *slot = Slot::Filled(result);
+                self.done.notify_all();
+            }
+        }
     }
 }
 

@@ -1,32 +1,47 @@
 //! The `rxd` socket server: unix-socket and TCP front ends over one
 //! shared [`ServiceCore`].
 //!
-//! Each accepted connection gets its own reader thread and its own
-//! client id (so per-client queueing, budgets and fairness apply per
-//! connection). After the version handshake the reader keeps reading
-//! frames while requests run: each accepted [`REQUEST`] is submitted to
-//! the core and a waiter thread writes its terminal frame (preceded by
-//! any streamed [`EVENT`](crate::protocol::EVENT) frames from the core
-//! workers) through the shared, locked write half. That is what lets a
-//! [`CANCEL`] frame reach a request already in flight, and lets one
-//! connection pipeline requests.
+//! Each accepted connection gets its own client id (so per-client
+//! queueing, budgets and fairness apply per connection) and exactly two
+//! threads, however many requests it carries:
+//!
+//! - the **reader** does the version handshake, then keeps reading
+//!   frames while requests run. Each accepted [`REQUEST`] is submitted
+//!   to the core, and its [`Ticket`](crate::core::Ticket) gets a
+//!   completion hook that queues the terminal REPLY/ERROR frame. That
+//!   is what lets a [`CANCEL`] frame reach a request already in flight,
+//!   and lets one connection pipeline requests.
+//! - the **writer** owns the socket's write half and writes every
+//!   outbound frame (handshake answers, streamed
+//!   [`EVENT`](crate::protocol::EVENT)s, terminal frames, control acks)
+//!   in the order they were queued. Core workers only queue, so a
+//!   client that stops reading stalls its own writer, never a worker.
+//!
+//! A connection ends when the reader stops: it waits until every
+//! accepted request's terminal frame is queued, closes the queue and
+//! joins the writer, which drains it first. The connection then removes
+//! its own entry from the live set, so a finished connection leaves no
+//! descriptor and no thread behind.
 //!
 //! Hostile or dead peers cannot wedge the server: reads run under a
 //! per-frame progress deadline (a slow-loris trickling bytes is reaped
 //! mid-frame) and an idle deadline (a dead TCP half with nothing in
 //! flight is reaped between frames), both answered with a typed
-//! [`ERR_IDLE`] frame before close; writes carry a socket write
-//! timeout. Malformed input is answered, counted and dropped — never
-//! panicked on: a frame that fails to decode gets a typed
-//! [`ERROR`](crate::protocol::ERROR) frame, bumps
+//! [`ERR_IDLE`] frame before close; the writer carries a socket write
+//! timeout, and a failed or timed-out write shuts the socket down so
+//! the reader exits too. Malformed input is answered, counted and
+//! dropped — never panicked on: a frame that fails to decode gets a
+//! typed [`ERROR`](crate::protocol::ERROR) frame, bumps
 //! [`ServiceStats::protocol_errors`] and closes the connection.
 
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,10 +50,10 @@ use reflex_driver::{Event, Instrument, NullSink};
 use crate::core::{ServiceCore, ServiceError, ServiceStats};
 use crate::protocol::{
     decode_hello, decode_request, encode_error, encode_error_retry, encode_reply, encode_stats,
-    read_frame, write_frame, Frame, ProtoError, CANCEL, CANCEL_OK, ERROR, ERR_BUSY, ERR_CANCELLED,
-    ERR_DEADLINE, ERR_IDLE, ERR_MALFORMED, ERR_OVERLOADED, ERR_OVERSIZED, ERR_REQUEST,
-    ERR_SHUTDOWN, ERR_VERSION, EVENT, HELLO, HELLO_OK, REPLY, REQUEST, SHUTDOWN, SHUTDOWN_OK,
-    STATS, STATS_REPLY, VERSION,
+    read_frame, write_frame, Frame, ProtoError, Reply, CANCEL, CANCEL_OK, ERROR, ERR_BUSY,
+    ERR_CANCELLED, ERR_DEADLINE, ERR_IDLE, ERR_MALFORMED, ERR_OVERLOADED, ERR_OVERSIZED,
+    ERR_REQUEST, ERR_SHUTDOWN, ERR_VERSION, EVENT, HELLO, HELLO_OK, REPLY, REQUEST, SHUTDOWN,
+    SHUTDOWN_OK, STATS, STATS_REPLY, VERSION,
 };
 
 /// Where the server listens and how aggressively it reaps bad peers.
@@ -59,8 +74,8 @@ pub struct ServerConfig {
     /// (300 000 ms).
     pub idle_timeout_ms: u64,
     /// Socket write timeout, so a peer that stopped draining cannot
-    /// block event/reply writers forever. 0 means the default
-    /// (30 000 ms).
+    /// block its connection's writer forever; when it fires the
+    /// connection is closed. 0 means the default (30 000 ms).
     pub write_timeout_ms: u64,
 }
 
@@ -147,11 +162,11 @@ enum Reaped {
 struct TimedReader<'a> {
     stream: &'a mut Stream,
     timeouts: Timeouts,
-    stop: Arc<AtomicBool>,
-    /// Requests submitted on this connection and not yet answered;
-    /// while nonzero, silence is legitimate (the peer is waiting for
-    /// replies) and idle reaping is off.
-    inflight: Arc<AtomicUsize>,
+    stop: &'a AtomicBool,
+    /// The connection's outbound queue; while it counts requests in
+    /// flight, silence is legitimate (the peer is waiting for replies)
+    /// and idle reaping is off.
+    outbox: &'a Outbox,
     /// Deadline for the frame currently arriving (set at its first
     /// byte, cleared by [`TimedReader::begin_frame`]).
     frame_deadline: Option<Instant>,
@@ -166,14 +181,14 @@ impl<'a> TimedReader<'a> {
     fn new(
         stream: &'a mut Stream,
         timeouts: Timeouts,
-        stop: Arc<AtomicBool>,
-        inflight: Arc<AtomicUsize>,
+        stop: &'a AtomicBool,
+        outbox: &'a Outbox,
     ) -> TimedReader<'a> {
         TimedReader {
             stream,
             timeouts,
             stop,
-            inflight,
+            outbox,
             frame_deadline: None,
             idle_since: Instant::now(),
             reaped: None,
@@ -215,7 +230,7 @@ impl Read for TimedReader<'_> {
                                 "frame read deadline exceeded",
                             ));
                         }
-                    } else if self.inflight.load(Ordering::Relaxed) == 0
+                    } else if self.outbox.inflight() == 0
                         && now.duration_since(self.idle_since) >= self.timeouts.idle
                     {
                         self.reaped = Some(Reaped::Idle);
@@ -256,24 +271,186 @@ impl Write for Stream {
     }
 }
 
-/// Forwards session events as [`EVENT`] frames through the connection's
-/// shared write half, tagged with the request they belong to.
+/// The REPLY or ERROR frame that ends a request.
+fn terminal_frame(request_id: u64, result: Result<Reply, ServiceError>) -> Frame {
+    match result {
+        Ok(reply) => Frame {
+            kind: REPLY,
+            request_id,
+            payload: encode_reply(&reply),
+        },
+        Err(e) => {
+            let retry_after = match e {
+                ServiceError::Overloaded { retry_after_ms } => Some(retry_after_ms),
+                _ => None,
+            };
+            Frame {
+                kind: ERROR,
+                request_id,
+                payload: encode_error_retry(error_code(&e), &e.to_string(), retry_after),
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct OutboxState {
+    frames: VecDeque<Frame>,
+    /// Requests submitted on this connection whose terminal frame is
+    /// not queued yet.
+    inflight: usize,
+    /// The reader is done and every terminal frame is queued: the
+    /// writer exits once the queue is empty.
+    closed: bool,
+}
+
+/// A connection's outbound queue: every frame the server sends on the
+/// connection goes through it, and the connection's one writer thread
+/// writes them in queue order. Queueing never blocks, so a core worker
+/// (streaming EVENTs, completing a ticket) never waits on a client's
+/// socket.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Wakes the writer: a frame was queued, or the outbox closed.
+    queued: Condvar,
+    /// Wakes the reader's close path: the in-flight count reached 0.
+    settled: Condvar,
+}
+
+impl Outbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox poisoned")
+    }
+
+    fn push(&self, frame: Frame) {
+        self.lock().frames.push_back(frame);
+        self.queued.notify_one();
+    }
+
+    fn send(&self, kind: u8, request_id: u64, payload: Vec<u8>) {
+        self.push(Frame {
+            kind,
+            request_id,
+            payload,
+        });
+    }
+
+    /// Counts a submitted request as in flight and has its ticket queue
+    /// the terminal frame when it completes.
+    fn track(self: &Arc<Outbox>, ticket: &crate::core::Ticket, request_id: u64) {
+        self.lock().inflight += 1;
+        let outbox = Arc::clone(self);
+        ticket.on_complete(move |result| {
+            let frame = terminal_frame(request_id, result);
+            let mut state = outbox.lock();
+            state.frames.push_back(frame);
+            state.inflight -= 1;
+            if state.inflight == 0 {
+                outbox.settled.notify_all();
+            }
+            outbox.queued.notify_one();
+        });
+    }
+
+    fn inflight(&self) -> usize {
+        self.lock().inflight
+    }
+
+    /// Waits until every tracked request's terminal frame is queued,
+    /// then closes the outbox so the writer drains it and exits.
+    fn close_when_settled(&self) {
+        let mut state = self.lock();
+        while state.inflight > 0 {
+            state = self.settled.wait(state).expect("outbox poisoned");
+        }
+        state.closed = true;
+        self.queued.notify_one();
+    }
+
+    /// Blocks for the frames queued since the last call; `None` once
+    /// the outbox is closed and drained.
+    fn next_batch(&self) -> Option<VecDeque<Frame>> {
+        let mut state = self.lock();
+        loop {
+            if !state.frames.is_empty() {
+                return Some(std::mem::take(&mut state.frames));
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.queued.wait(state).expect("outbox poisoned");
+        }
+    }
+}
+
+/// The writer thread: writes queued frames in order until the outbox
+/// closes. A failed or timed-out write shuts the socket down, so the
+/// reader sees the close and ends the connection; frames queued after
+/// that are drained and dropped.
+fn write_loop(outbox: &Outbox, mut stream: Stream) {
+    let mut open = true;
+    while let Some(batch) = outbox.next_batch() {
+        for frame in batch {
+            if open && write_frame(&mut stream, &frame).is_err() {
+                stream.close();
+                open = false;
+            }
+        }
+    }
+}
+
+/// Forwards session events as [`EVENT`] frames onto the connection's
+/// outbound queue, tagged with the request they belong to.
 struct FrameSink {
-    writer: Arc<Mutex<Stream>>,
+    outbox: Arc<Outbox>,
     request_id: u64,
 }
 
 impl Instrument for FrameSink {
     fn event(&self, event: &Event) {
-        let frame = Frame {
-            kind: EVENT,
-            request_id: self.request_id,
-            payload: event.to_json().into_bytes(),
-        };
-        if let Ok(mut w) = self.writer.lock() {
-            // A client that stopped reading mid-stream is its own
-            // problem; the reply path will surface the broken pipe.
-            let _ = write_frame(&mut *w, &frame);
+        self.outbox
+            .send(EVENT, self.request_id, event.to_json().into_bytes());
+    }
+}
+
+/// A listener's accept thread and the address that wakes it.
+#[derive(Debug)]
+struct Listener {
+    thread: JoinHandle<()>,
+    wake: Bound,
+}
+
+/// An endpoint the server bound.
+#[derive(Debug, Clone)]
+enum Bound {
+    /// The socket path, with the device and inode it had at bind.
+    Unix(PathBuf, (u64, u64)),
+    Tcp(SocketAddr),
+}
+
+impl Bound {
+    fn unix(path: &std::path::Path) -> io::Result<Bound> {
+        let meta = std::fs::metadata(path)?;
+        Ok(Bound::Unix(path.to_owned(), (meta.dev(), meta.ino())))
+    }
+
+    /// One throwaway connection, to return a blocked `accept` so its
+    /// loop sees the stop flag. Fails when the endpoint cannot be
+    /// reached, or when the socket path now names another socket (a
+    /// newer server replaced it), whose accept this would not wake.
+    fn poke(&self) -> io::Result<()> {
+        match self {
+            Bound::Unix(path, id) => {
+                let meta = std::fs::metadata(path)?;
+                if (meta.dev(), meta.ino()) != *id {
+                    return Err(io::Error::other("socket path was replaced"));
+                }
+                UnixStream::connect(path).map(drop)
+            }
+            // An unspecified bind address (0.0.0.0, [::]) connects to
+            // the local host.
+            Bound::Tcp(addr) => TcpStream::connect(addr).map(drop),
         }
     }
 }
@@ -283,11 +460,7 @@ impl Instrument for FrameSink {
 #[derive(Debug)]
 pub struct ServerHandle {
     core: Arc<ServiceCore>,
-    /// Tells accept loops and connections to wind down.
-    stop: Arc<AtomicBool>,
-    /// Set when a client asked the daemon to shut down.
-    shutdown_requested: Arc<AtomicBool>,
-    accept_threads: Mutex<Vec<JoinHandle<()>>>,
+    listeners: Mutex<Vec<Listener>>,
     shared: Arc<Shared>,
     /// The unix socket path actually bound, if any.
     pub unix_path: Option<PathBuf>,
@@ -298,19 +471,32 @@ pub struct ServerHandle {
 /// State shared by every accept loop and connection thread.
 struct Shared {
     core: Arc<ServiceCore>,
-    stop: Arc<AtomicBool>,
-    shutdown_requested: Arc<AtomicBool>,
+    /// Tells accept loops and connections to wind down.
+    stop: AtomicBool,
+    /// Set when a client asked the daemon to shut down.
+    shutdown_requested: Mutex<bool>,
+    shutdown_signal: Condvar,
     next_client: AtomicU64,
     timeouts: Timeouts,
+    /// Connection threads not joined yet. Finished ones are joined at
+    /// the next accept; [`ServerHandle::stop`] joins the rest.
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Read-half clones of live connections, closed on stop to unblock
-    /// their reader threads.
-    conns: Mutex<Vec<Stream>>,
+    /// A clone of each live connection's stream, by client id, so stop
+    /// can shut it down to unblock its reader. A connection removes its
+    /// own entry when it ends.
+    conns: Mutex<HashMap<u64, Stream>>,
 }
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared").finish()
+    }
+}
+
+impl Shared {
+    fn request_shutdown(&self) {
+        *self.shutdown_requested.lock().expect("shutdown poisoned") = true;
+        self.shutdown_signal.notify_all();
     }
 }
 
@@ -322,18 +508,17 @@ pub fn serve(core: Arc<ServiceCore>, config: &ServerConfig) -> io::Result<Server
             "server needs a unix socket path or a tcp address",
         ));
     }
-    let stop = Arc::new(AtomicBool::new(false));
-    let shutdown_requested = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
         core: Arc::clone(&core),
-        stop: Arc::clone(&stop),
-        shutdown_requested: Arc::clone(&shutdown_requested),
+        stop: AtomicBool::new(false),
+        shutdown_requested: Mutex::new(false),
+        shutdown_signal: Condvar::new(),
         next_client: AtomicU64::new(1),
         timeouts: Timeouts::of(config),
         conn_threads: Mutex::new(Vec::new()),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
     });
-    let mut accept_threads = Vec::new();
+    let mut listeners = Vec::new();
     let mut unix_path = None;
     if let Some(path) = &config.unix {
         // A previous daemon's stale socket file would make bind fail;
@@ -342,28 +527,32 @@ pub fn serve(core: Arc<ServiceCore>, config: &ServerConfig) -> io::Result<Server
             let _ = std::fs::remove_file(path);
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
+        let wake = Bound::unix(path)?;
         unix_path = Some(path.clone());
         let shared = Arc::clone(&shared);
-        accept_threads.push(std::thread::spawn(move || {
-            accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Unix(s)));
-        }));
+        listeners.push(Listener {
+            thread: std::thread::spawn(move || {
+                accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Unix(s)));
+            }),
+            wake,
+        });
     }
     let mut tcp_addr = None;
     if let Some(addr) = &config.tcp {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        tcp_addr = Some(listener.local_addr()?);
+        let local = listener.local_addr()?;
+        tcp_addr = Some(local);
         let shared = Arc::clone(&shared);
-        accept_threads.push(std::thread::spawn(move || {
-            accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Tcp(s)));
-        }));
+        listeners.push(Listener {
+            thread: std::thread::spawn(move || {
+                accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Tcp(s)));
+            }),
+            wake: Bound::Tcp(local),
+        });
     }
     Ok(ServerHandle {
         core,
-        stop,
-        shutdown_requested,
-        accept_threads: Mutex::new(accept_threads),
+        listeners: Mutex::new(listeners),
         shared,
         unix_path,
         tcp_addr,
@@ -373,13 +562,26 @@ pub fn serve(core: Arc<ServiceCore>, config: &ServerConfig) -> io::Result<Server
 impl ServerHandle {
     /// Whether a client has requested daemon shutdown.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_requested.load(Ordering::Relaxed)
+        *self
+            .shared
+            .shutdown_requested
+            .lock()
+            .expect("shutdown poisoned")
     }
 
     /// Blocks until a client requests shutdown (the `rxd` main loop).
     pub fn wait_for_shutdown(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(50));
+        let mut requested = self
+            .shared
+            .shutdown_requested
+            .lock()
+            .expect("shutdown poisoned");
+        while !*requested {
+            requested = self
+                .shared
+                .shutdown_signal
+                .wait(requested)
+                .expect("shutdown poisoned");
         }
     }
 
@@ -393,11 +595,17 @@ impl ServerHandle {
     /// running — call [`ServiceCore::shutdown`] after this to drain and
     /// flush.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for handle in std::mem::take(&mut *self.accept_threads.lock().expect("accept poisoned")) {
-            let _ = handle.join();
+        self.shared.stop.store(true, Ordering::Relaxed);
+        for listener in std::mem::take(&mut *self.listeners.lock().expect("listeners poisoned")) {
+            // A listener that cannot be woken (its path was replaced, or
+            // the process is out of descriptors) stays blocked in
+            // accept; it is left to end with the process rather than
+            // hang the stop.
+            if listener.wake.poke().is_ok() {
+                let _ = listener.thread.join();
+            }
         }
-        for conn in std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned")) {
+        for conn in self.shared.conns.lock().expect("conns poisoned").values() {
             conn.close();
         }
         for handle in
@@ -411,46 +619,16 @@ impl ServerHandle {
     }
 }
 
-/// Polls a nonblocking listener until told to stop, spawning one thread
-/// per accepted connection.
+/// Accepts connections until told to stop, starting a reader thread
+/// for each one.
 fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Stream>) {
     loop {
+        let accepted = accept();
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }
-        match accept() {
-            Ok(stream) => {
-                shared
-                    .core
-                    .stats()
-                    .connections
-                    .fetch_add(1, Ordering::Relaxed);
-                let client = shared.next_client.fetch_add(1, Ordering::Relaxed);
-                if let Ok(reader_clone) = stream.try_clone() {
-                    shared
-                        .conns
-                        .lock()
-                        .expect("conns poisoned")
-                        .push(reader_clone);
-                }
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::spawn(move || {
-                    let mut stream = stream;
-                    handle_connection(&shared2, &mut stream, client);
-                    // The clone parked in `conns` (for stop()) keeps the
-                    // descriptor alive; shut the socket down so the peer
-                    // sees the close the moment this connection ends.
-                    stream.close();
-                });
-                shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads poisoned")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        match accepted {
+            Ok(stream) => start_connection(shared, stream),
             Err(e) => {
                 // Transient listener trouble (EMFILE, ECONNABORTED, a
                 // shutdown race): log, count, back off and keep
@@ -468,10 +646,54 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Stre
     }
 }
 
-/// Sends an [`ERROR`] frame (best-effort) and bumps the protocol-error
-/// counter when `count` is set.
+/// Registers an accepted connection and starts its reader thread, then
+/// joins the connection threads that have ended since the last accept.
+fn start_connection(shared: &Arc<Shared>, stream: Stream) {
+    shared
+        .core
+        .stats()
+        .connections
+        .fetch_add(1, Ordering::Relaxed);
+    let client = shared.next_client.fetch_add(1, Ordering::Relaxed);
+    let Ok(handle) = stream.try_clone() else {
+        return;
+    };
+    shared
+        .conns
+        .lock()
+        .expect("conns poisoned")
+        .insert(client, handle);
+    let shared2 = Arc::clone(shared);
+    let thread = std::thread::spawn(move || {
+        let mut stream = stream;
+        handle_connection(&shared2, &mut stream, client);
+        // Shut the socket down so the peer sees the close the moment
+        // this connection ends, then drop the stop() clone's descriptor.
+        stream.close();
+        shared2
+            .conns
+            .lock()
+            .expect("conns poisoned")
+            .remove(&client);
+    });
+    let finished: Vec<JoinHandle<()>> = {
+        let mut threads = shared.conn_threads.lock().expect("threads poisoned");
+        let (finished, live) = std::mem::take(&mut *threads)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        *threads = live;
+        threads.push(thread);
+        finished
+    };
+    for handle in finished {
+        let _ = handle.join();
+    }
+}
+
+/// Bumps the protocol-error counter when `count` is set and queues an
+/// [`ERROR`] frame.
 fn send_error(
-    writer: &Arc<Mutex<Stream>>,
+    outbox: &Outbox,
     stats: &ServiceStats,
     request_id: u64,
     code: u16,
@@ -481,77 +703,43 @@ fn send_error(
     if count {
         stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind: ERROR,
-                request_id,
-                payload: encode_error(code, message),
-            },
-        );
-    }
+    outbox.send(ERROR, request_id, encode_error(code, message));
 }
 
-fn send_frame(writer: &Arc<Mutex<Stream>>, kind: u8, request_id: u64, payload: Vec<u8>) {
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind,
-                request_id,
-                payload,
-            },
-        );
-    }
-}
-
-/// Sends the typed [`ERROR`] frame for a [`ServiceError`] (carrying the
-/// `retry_after_ms` hint when it is an overload shed).
-fn send_service_error(writer: &Arc<Mutex<Stream>>, request_id: u64, e: &ServiceError) {
-    let retry_after = match e {
-        ServiceError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
-        _ => None,
-    };
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind: ERROR,
-                request_id,
-                payload: encode_error_retry(error_code(e), &e.to_string(), retry_after),
-            },
-        );
-    }
-}
-
-/// Runs one connection to completion: handshake, then the pipelined
-/// request loop — the reader keeps reading (so CANCEL frames land)
-/// while waiter threads write each request's terminal frame. Every exit
-/// path is a clean close that first joins the waiters, so accepted
-/// requests always get their terminal frame; nothing in here panics on
-/// hostile input.
+/// Runs one connection to completion: starts its writer, reads frames
+/// until the peer leaves, a deadline trips or the server stops, then
+/// waits for every accepted request's terminal frame, lets the writer
+/// drain and joins it.
 fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
-    let stats = shared.core.stats();
     // The poll-granularity socket timeout drives TimedReader's deadline
-    // checks; the write timeout bounds every writer through the shared
-    // half (the fd is shared with the clone, so setting it here covers
-    // both).
+    // checks; the write timeout bounds the writer (the fd is shared
+    // with the clone, so setting it here covers both).
     let _ = reader.set_read_timeout(Some(shared.timeouts.poll));
     let _ = reader.set_write_timeout(Some(shared.timeouts.write));
-    let writer = match reader.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
+    let Ok(write_half) = reader.try_clone() else {
+        return;
     };
-    let inflight = Arc::new(AtomicUsize::new(0));
-    let timeouts = shared.timeouts;
-    let mut timed = TimedReader::new(
-        reader,
-        timeouts,
-        Arc::clone(&shared.stop),
-        Arc::clone(&inflight),
-    );
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
+    let outbox = Arc::new(Outbox::default());
+    let writer = {
+        let outbox = Arc::clone(&outbox);
+        std::thread::spawn(move || write_loop(&outbox, write_half))
+    };
+    let shutdown = read_loop(shared, reader, client, &outbox);
+    outbox.close_when_settled();
+    let _ = writer.join();
+    // Raised only once SHUTDOWN_OK is on the wire: the daemon's stop
+    // closes every connection, this one included.
+    if shutdown {
+        shared.request_shutdown();
+    }
+}
+
+/// The reader: handshake, then the pipelined request loop. Returns
+/// whether the peer asked the daemon to shut down. Nothing in here
+/// panics on hostile input.
+fn read_loop(shared: &Arc<Shared>, reader: &mut Stream, client: u64, outbox: &Arc<Outbox>) -> bool {
+    let stats = shared.core.stats();
+    let mut timed = TimedReader::new(reader, shared.timeouts, &shared.stop, outbox);
 
     // ---- Handshake ------------------------------------------------------
     timed.begin_frame();
@@ -560,60 +748,57 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
             Some(version) if version == VERSION => {
                 let mut e = reflex_verify::codec::Enc::new();
                 e.u16(VERSION);
-                send_frame(&writer, HELLO_OK, frame.request_id, e.buf);
+                outbox.send(HELLO_OK, frame.request_id, e.buf);
             }
             Some(version) => {
                 send_error(
-                    &writer,
+                    outbox,
                     stats,
                     frame.request_id,
                     ERR_VERSION,
                     &format!("unsupported protocol version {version} (server speaks {VERSION})"),
                     true,
                 );
-                return;
+                return false;
             }
             None => {
                 send_error(
-                    &writer,
+                    outbox,
                     stats,
                     frame.request_id,
                     ERR_VERSION,
                     "bad hello payload",
                     true,
                 );
-                return;
+                return false;
             }
         },
         Ok(frame) => {
             send_error(
-                &writer,
+                outbox,
                 stats,
                 frame.request_id,
                 ERR_MALFORMED,
                 "expected hello frame first",
                 true,
             );
-            return;
+            return false;
         }
         Err(e) => {
-            report_reap(&writer, stats, timed.reaped);
-            report_read_error(&writer, stats, &e);
-            return;
+            report_reap(outbox, stats, timed.reaped);
+            report_read_error(outbox, stats, &e);
+            return false;
         }
     }
 
     // ---- Request loop ---------------------------------------------------
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !shared.stop.load(Ordering::Relaxed) {
         timed.begin_frame();
         let frame = match read_frame(&mut timed) {
             Ok(frame) => frame,
             Err(e) => {
-                report_reap(&writer, stats, timed.reaped);
-                report_read_error(&writer, stats, &e);
+                report_reap(outbox, stats, timed.reaped);
+                report_read_error(outbox, stats, &e);
                 break;
             }
         };
@@ -621,7 +806,7 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
             REQUEST => {
                 let Some(request) = decode_request(&frame.payload) else {
                     send_error(
-                        &writer,
+                        outbox,
                         stats,
                         frame.request_id,
                         ERR_MALFORMED,
@@ -639,33 +824,20 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
                 );
                 let sink: Arc<dyn Instrument + Send> = if want_events {
                     Arc::new(FrameSink {
-                        writer: Arc::clone(&writer),
+                        outbox: Arc::clone(outbox),
                         request_id: frame.request_id,
                     })
                 } else {
                     Arc::new(NullSink)
                 };
                 // Submit on the reader thread (preserving the client's
-                // send order in its queue); a waiter thread blocks on
-                // the ticket so this loop keeps reading — that is what
-                // lets CANCEL reach an in-flight request.
+                // send order in its queue); the ticket's completion
+                // hook queues the terminal frame, so this loop keeps
+                // reading — that is what lets CANCEL reach an in-flight
+                // request.
                 match shared.core.submit(client, frame.request_id, request, sink) {
-                    Ok(ticket) => {
-                        inflight.fetch_add(1, Ordering::Relaxed);
-                        let writer = Arc::clone(&writer);
-                        let inflight = Arc::clone(&inflight);
-                        let request_id = frame.request_id;
-                        waiters.push(std::thread::spawn(move || {
-                            match ticket.wait() {
-                                Ok(reply) => {
-                                    send_frame(&writer, REPLY, request_id, encode_reply(&reply));
-                                }
-                                Err(e) => send_service_error(&writer, request_id, &e),
-                            }
-                            inflight.fetch_sub(1, Ordering::Relaxed);
-                        }));
-                    }
-                    Err(e) => send_service_error(&writer, frame.request_id, &e),
+                    Ok(ticket) => outbox.track(&ticket, frame.request_id),
+                    Err(e) => outbox.push(terminal_frame(frame.request_id, Err(e))),
                 }
             }
             CANCEL => {
@@ -674,24 +846,22 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
                 // Cancelled terminal frame) travels on the original
                 // request's id.
                 let _ = shared.core.cancel(client, frame.request_id);
-                send_frame(&writer, CANCEL_OK, frame.request_id, Vec::new());
+                outbox.send(CANCEL_OK, frame.request_id, Vec::new());
             }
             STATS => {
-                send_frame(
-                    &writer,
+                outbox.send(
                     STATS_REPLY,
                     frame.request_id,
                     encode_stats(&stats.snapshot()),
                 );
             }
             SHUTDOWN => {
-                send_frame(&writer, SHUTDOWN_OK, frame.request_id, Vec::new());
-                shared.shutdown_requested.store(true, Ordering::Relaxed);
-                break;
+                outbox.send(SHUTDOWN_OK, frame.request_id, Vec::new());
+                return true;
             }
             _ => {
                 send_error(
-                    &writer,
+                    outbox,
                     stats,
                     frame.request_id,
                     ERR_MALFORMED,
@@ -702,11 +872,7 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
             }
         }
     }
-    // Every accepted request still gets its terminal frame before the
-    // connection closes.
-    for waiter in waiters {
-        let _ = waiter.join();
-    }
+    false
 }
 
 fn error_code(e: &ServiceError) -> u16 {
@@ -723,25 +889,25 @@ fn error_code(e: &ServiceError) -> u16 {
 /// Announces a reaped connection: a typed [`ERR_IDLE`] frame
 /// (best-effort — a dead half will not read it, a slow-loris might) and
 /// the reaped-connections counter.
-fn report_reap(writer: &Arc<Mutex<Stream>>, stats: &ServiceStats, reaped: Option<Reaped>) {
+fn report_reap(outbox: &Outbox, stats: &ServiceStats, reaped: Option<Reaped>) {
     let Some(why) = reaped else { return };
     stats.reaped_connections.fetch_add(1, Ordering::Relaxed);
     let message = match why {
         Reaped::SlowFrame => "connection reaped: frame did not complete within the read deadline",
         Reaped::Idle => "connection reaped: idle past the deadline with nothing in flight",
     };
-    send_error(writer, stats, 0, ERR_IDLE, message, false);
+    send_error(outbox, stats, 0, ERR_IDLE, message, false);
 }
 
 /// Classifies a failed read: hostile frames get a typed error reply and
 /// count as protocol errors; a peer that just went away does not.
-fn report_read_error(writer: &Arc<Mutex<Stream>>, stats: &ServiceStats, e: &ProtoError) {
+fn report_read_error(outbox: &Outbox, stats: &ServiceStats, e: &ProtoError) {
     match e {
         ProtoError::Oversized { .. } => {
-            send_error(writer, stats, 0, ERR_OVERSIZED, &e.to_string(), true);
+            send_error(outbox, stats, 0, ERR_OVERSIZED, &e.to_string(), true);
         }
         ProtoError::Malformed(_) => {
-            send_error(writer, stats, 0, ERR_MALFORMED, &e.to_string(), true);
+            send_error(outbox, stats, 0, ERR_MALFORMED, &e.to_string(), true);
         }
         ProtoError::Closed | ProtoError::Io(_) => {}
     }

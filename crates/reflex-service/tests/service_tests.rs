@@ -907,3 +907,276 @@ fn a_retried_verify_is_deduplicated_across_reconnects() {
     core.shutdown();
     let _ = std::fs::remove_file(&socket);
 }
+
+// ---------------------------------------------------------------------------
+// The reply path: one reader and one writer per connection
+// ---------------------------------------------------------------------------
+
+fn unix_server(
+    tag: &str,
+    service: ServiceConfig,
+    server: ServerConfig,
+) -> (
+    Arc<ServiceCore>,
+    reflex_service::ServerHandle,
+    std::path::PathBuf,
+) {
+    let core = Arc::new(single_worker_core(service));
+    let socket = temp_socket_path(tag);
+    let handle = serve(
+        Arc::clone(&core),
+        &ServerConfig {
+            unix: Some(socket.clone()),
+            ..server
+        },
+    )
+    .expect("server binds");
+    (core, handle, socket)
+}
+
+/// A raw unix-socket peer past the version handshake.
+fn raw_peer(socket: &std::path::Path) -> std::os::unix::net::UnixStream {
+    use reflex_service::protocol::{encode_hello, HELLO, HELLO_OK};
+
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout set");
+    write_frame(
+        &mut stream,
+        &Frame {
+            kind: HELLO,
+            request_id: 0,
+            payload: encode_hello(),
+        },
+    )
+    .expect("hello writes");
+    let hello_ok = read_frame(&mut stream).expect("handshake completes");
+    assert_eq!(hello_ok.kind, HELLO_OK);
+    stream
+}
+
+fn send_request(stream: &mut impl std::io::Write, request_id: u64, request: &Request) {
+    write_frame(
+        stream,
+        &Frame {
+            kind: REQUEST,
+            request_id,
+            payload: reflex_service::protocol::encode_request(request),
+        },
+    )
+    .expect("request writes");
+}
+
+/// Readings of this process's own resources from `/proc/self`. The
+/// other tests in this binary run alongside and come and go, so a check
+/// polls until the reading falls under its bound (or a deadline passes)
+/// instead of trusting one sample.
+#[cfg(target_os = "linux")]
+mod own {
+    use std::time::{Duration, Instant};
+
+    pub fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("/proc/self/fd lists")
+            .count()
+    }
+
+    pub fn threads() -> usize {
+        std::fs::read_to_string("/proc/self/status")
+            .expect("/proc/self/status reads")
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("Threads line")
+    }
+
+    pub fn mappings() -> usize {
+        std::fs::read_to_string("/proc/self/maps")
+            .expect("/proc/self/maps reads")
+            .lines()
+            .count()
+    }
+
+    /// The first reading at or under `limit`, or the last one taken
+    /// when 30 s pass without one.
+    pub fn settled(limit: usize, measure: fn() -> usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let now = measure();
+            if now <= limit || Instant::now() >= deadline {
+                return now;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+/// Connections that come and go leave nothing behind: after 200
+/// sequential connect/ping/drop cycles the process holds about as many
+/// descriptors as before (a connection's parked stream clone and its
+/// thread handle are released when it ends, not at server stop).
+#[cfg(target_os = "linux")]
+#[test]
+fn sequential_connections_leave_no_descriptors_behind() {
+    let (core, handle, socket) = unix_server(
+        "fd-cycle",
+        ServiceConfig::default(),
+        ServerConfig::default(),
+    );
+    let endpoint = Endpoint::Unix(socket.clone());
+    Client::connect(&endpoint)
+        .expect("connects")
+        .ping()
+        .expect("ping");
+    let before = own::open_fds();
+    for _ in 0..200 {
+        let mut client = Client::connect(&endpoint).expect("connects");
+        client.ping().expect("ping");
+    }
+    let after = own::settled(before + 16, own::open_fds);
+    assert!(
+        after <= before + 16,
+        "open descriptors grew from {before} to {after} over 200 connections"
+    );
+
+    handle.stop();
+    core.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// Requests do not cost threads: 1,000 sequential round trips on one
+/// connection leave the thread count and the memory-mapping count
+/// where they were after the first 10 (a thread per request would
+/// leave a stack mapping and its guard page behind for each).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_thousand_round_trips_on_one_connection_keep_threads_and_mappings_flat() {
+    let (core, handle, socket) =
+        unix_server("flat", ServiceConfig::default(), ServerConfig::default());
+    let mut client = Client::connect(&Endpoint::Unix(socket.clone())).expect("connects");
+    for _ in 0..10 {
+        client.check("car", car::SOURCE).expect("check");
+    }
+    let (threads, maps) = (own::threads(), own::mappings());
+    for _ in 10..1000 {
+        client.check("car", car::SOURCE).expect("check");
+    }
+    let threads_after = own::settled(threads + 8, own::threads);
+    assert!(
+        threads_after <= threads + 8,
+        "threads grew from {threads} to {threads_after} over 990 requests"
+    );
+    let maps_after = own::settled(maps + 64, own::mappings);
+    assert!(
+        maps_after <= maps + 64,
+        "mappings grew from {maps} to {maps_after} over 990 requests"
+    );
+
+    drop(client);
+    handle.stop();
+    core.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// A client that pipelines 20 requests and then shuts its write half
+/// still gets all 20 terminal frames before the server closes.
+#[test]
+fn pipelined_requests_are_all_answered_before_a_half_close_ends_the_connection() {
+    use reflex_service::protocol::EVENT;
+
+    let (core, handle, socket) = unix_server(
+        "half-close",
+        ServiceConfig {
+            queue_cap: 32,
+            ..ServiceConfig::default()
+        },
+        ServerConfig::default(),
+    );
+    let mut peer = raw_peer(&socket);
+    for id in 1..=20u64 {
+        let request = if id % 2 == 0 {
+            Request::Check {
+                name: "car".into(),
+                source: car::SOURCE.to_owned(),
+            }
+        } else {
+            car_verify()
+        };
+        send_request(&mut peer, id, &request);
+    }
+    peer.shutdown(std::net::Shutdown::Write)
+        .expect("write half shuts");
+
+    let mut answered = Vec::new();
+    loop {
+        match read_frame(&mut peer) {
+            Ok(frame) => {
+                assert_ne!(frame.kind, EVENT, "no events were asked for");
+                assert_ne!(frame.kind, ERROR, "request {} failed", frame.request_id);
+                answered.push(frame.request_id);
+            }
+            Err(ProtoError::Closed) => break,
+            Err(e) => panic!("connection broke instead of closing cleanly: {e}"),
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=20).collect::<Vec<_>>());
+
+    handle.stop();
+    core.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// A client that pipelines event-streaming verifies and never reads
+/// fills its socket buffer, which stalls only its own writer: with a
+/// single core worker, another client's verify still completes well
+/// before the stalled writer's timeout fires.
+#[test]
+fn a_client_that_stops_reading_does_not_stall_the_workers() {
+    use std::time::Duration;
+
+    const WRITE_TIMEOUT_MS: u64 = 3_000;
+    let (core, handle, socket) = unix_server(
+        "hog",
+        ServiceConfig {
+            queue_cap: 128,
+            ..ServiceConfig::default()
+        },
+        ServerConfig {
+            write_timeout_ms: WRITE_TIMEOUT_MS,
+            ..ServerConfig::default()
+        },
+    );
+    let mut hog = raw_peer(&socket);
+    let mut streaming = car_verify();
+    if let Request::Verify { want_events, .. } = &mut streaming {
+        *want_events = true;
+    }
+    for id in 1..=100u64 {
+        send_request(&mut hog, id, &streaming);
+    }
+    // Let the worker run the hog's requests until its socket buffer is
+    // full and its frames back up.
+    std::thread::sleep(Duration::from_millis(500));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let endpoint = Endpoint::Unix(socket.clone());
+    let victim = std::thread::spawn(move || {
+        let mut client = Client::connect(&endpoint).expect("connects");
+        let report = client
+            .verify(car_verify(), &mut |_| {})
+            .expect("verify beside the hog");
+        let _ = done_tx.send(report.outcomes.len());
+    });
+    let outcomes = done_rx
+        .recv_timeout(Duration::from_millis(WRITE_TIMEOUT_MS))
+        .expect("a verify beside a client that stopped reading finishes before its write timeout");
+    assert!(outcomes > 0);
+    victim.join().expect("the victim client thread succeeds");
+
+    drop(hog);
+    handle.stop();
+    core.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}

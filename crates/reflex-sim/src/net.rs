@@ -13,8 +13,8 @@
 //!
 //! The scenarios boot a real in-process [`serve`] loop on a scratch
 //! unix socket, so the path under test is the production one: framed
-//! protocol, pipelined reader, waiter threads, admission control, the
-//! idempotency window and the retrying SDK.
+//! protocol, pipelined reader, per-connection writer, admission
+//! control, the idempotency window and the retrying SDK.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;

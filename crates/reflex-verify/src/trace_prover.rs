@@ -87,12 +87,24 @@ pub fn prove_trace(
     // sharing the ProofCache are unaffected.
     #[cfg(feature = "panic-injection")]
     if options.panic_armed(&prop.name) {
-        panic!("injected panic for `{}`", prop.name);
+        injected_panic(&prop.name);
     }
     match prove_trace_inner(abs, options, prop, tp, 0, shared) {
         Ok(cert) => Outcome::Proved(Certificate::Trace(cert)),
         Err(failure) => Outcome::Failed(failure),
     }
+}
+
+/// Raises the chaos hook's crash. `resume_unwind` skips the panic hook,
+/// so an expected crash prints no panic report; its payload is the
+/// `String` a `panic!` would carry, so `catch_crash` records the same
+/// `Crashed` reason. Cold and out of line, like `panic!`'s own entry,
+/// so the hook costs its callers nothing.
+#[cfg(feature = "panic-injection")]
+#[cold]
+#[inline(never)]
+fn injected_panic(property: &str) -> ! {
+    std::panic::resume_unwind(Box::new(format!("injected panic for `{property}`")))
 }
 
 /// Re-proves only the `dirty` `(ctype, msg)` cases of `prior`, splicing the
@@ -214,7 +226,7 @@ pub(crate) fn prepare_trace<'a, 'p>(
 ) -> TracePrep<'a, 'p> {
     #[cfg(feature = "panic-injection")]
     if options.panic_armed(&prop.name) {
-        panic!("injected panic for `{}`", prop.name);
+        injected_panic(&prop.name);
     }
     let pure_kind = matches!(
         tp.kind,

@@ -332,6 +332,9 @@ fn chaos_single_seed_upholds_invariants_and_writes_json() {
         stdout.contains("all robustness invariants held"),
         "{stdout}"
     );
+    // Injected prover panics are caught and recorded as crashes; they
+    // must not print panic reports.
+    assert!(!stderr.contains("panicked at"), "{stderr}");
     let json =
         std::fs::read_to_string(dir.join("BENCH_chaos.json")).expect("BENCH_chaos.json written");
     assert!(json.contains(r#""invariants_held": true"#), "{json}");
